@@ -1,6 +1,5 @@
 """p-spectral radii of uniform hypergraphs with labeling certificates."""
 
-from ._kernels import BACKEND
 from .core import (
     ComponentsResult,
     DegreeProfile,

@@ -1,28 +1,18 @@
-"""Hot numeric kernels for edge sweeps.
+"""Hot numeric kernels for edge sweeps, in plain numpy.
 
 Every solver iteration needs, for the current vector x, the per-edge
 products prod_{v in e} x_v and the per-vertex sums
-s_i = sum_{e: i in e} prod_{j in e, j != i} x_j.  The numba versions use
-Kahan accumulation in fixed edge order so results are reproducible; set
-``UHS_DISABLE_NUMBA=1`` to force the pure-numpy fallback (same contract,
-scatter-add in edge order).
+s_i = sum_{e: i in e} prod_{j in e, j != i} x_j.  The leave-one-out
+products come from prefix and suffix cumulative products along each
+edge, and the per-vertex sums from one scatter over the m x r corner
+array in edge order, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_DISABLED = os.environ.get("UHS_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 def _leave_one_out(xe: np.ndarray) -> np.ndarray:
@@ -35,74 +25,24 @@ def _leave_one_out(xe: np.ndarray) -> np.ndarray:
     return pre * suf
 
 
-def support_sums_numpy(x: np.ndarray, edges: np.ndarray, n: int):
+def support_sums(x: np.ndarray, edges: np.ndarray, n: int):
     """Return (s, prods) for one vector x of length n."""
     if edges.shape[0] == 0:
         return np.zeros(n), np.zeros(0)
     xe = x[edges]
-    loo = _leave_one_out(xe)
-    s = np.zeros(n)
-    np.add.at(s, edges, loo)
+    s = np.bincount(edges.ravel(), weights=_leave_one_out(xe).ravel(), minlength=n)
     return s, xe.prod(axis=1)
 
 
-def polynomial_sum_numpy(prods: np.ndarray) -> float:
+def polynomial_sum(prods: np.ndarray) -> float:
     return math.fsum(prods.tolist())
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def support_sums_numba(x, edges, n):  # pragma: no cover - exercised via wrapper
-        m, r = edges.shape
-        s = np.zeros(n)
-        comp = np.zeros(n)
-        prods = np.empty(m)
-        pre = np.empty(r)
-        suf = np.empty(r)
-        for k in range(m):
-            pre[0] = 1.0
-            for j in range(1, r):
-                pre[j] = pre[j - 1] * x[edges[k, j - 1]]
-            suf[r - 1] = 1.0
-            for j in range(r - 2, -1, -1):
-                suf[j] = suf[j + 1] * x[edges[k, j + 1]]
-            prods[k] = pre[r - 1] * x[edges[k, r - 1]]
-            for j in range(r):
-                i = edges[k, j]
-                y = pre[j] * suf[j] - comp[i]
-                t = s[i] + y
-                comp[i] = (t - s[i]) - y
-                s[i] = t
-        return s, prods
-
-    @njit(cache=True)
-    def polynomial_sum_numba(prods):  # pragma: no cover - exercised via wrapper
-        total = 0.0
-        comp = 0.0
-        for k in range(prods.shape[0]):
-            y = prods[k] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-
-
-if _HAVE_NUMBA and not _DISABLED:
-    BACKEND = "numba"
-    support_sums = support_sums_numba
-    polynomial_sum = polynomial_sum_numba
-else:
-    BACKEND = "numpy"
-    support_sums = support_sums_numpy
-    polynomial_sum = polynomial_sum_numpy
 
 
 def batch_support_sums(X: np.ndarray, edges: np.ndarray, n: int):
     """Vectorized (s, prods) for a batch of vectors X of shape (k, n).
 
     Used by the multi-start optimizer and the brute-force harness, where
-    many small instances are swept at once; plain numpy is fast enough.
+    many small instances are swept at once.
     """
     k = X.shape[0]
     if edges.shape[0] == 0:

@@ -8,14 +8,16 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
+import numpy as np
+
 from .core import UniformHypergraph
 from .errors import PreconditionError
 
 
 def join(G1: UniformHypergraph, G2: UniformHypergraph) -> UniformHypergraph:
     """G1 * G2: (r1+r2)-uniform, edges e u f; G2 vertices shifted by n1."""
-    shift = G1.n
-    edges = [e + tuple(v + shift for v in f) for e in G1.edges for f in G2.edges]
+    A, B = G1.edges_array, G2.edges_array + G1.n
+    edges = np.hstack([np.repeat(A, B.shape[0], axis=0), np.tile(B, (A.shape[0], 1))])
     return UniformHypergraph.from_edges(G1.r + G2.r, G1.n + G2.n, edges)
 
 
@@ -33,20 +35,15 @@ def direct_product(G1: UniformHypergraph, G2: UniformHypergraph) -> UniformHyper
     """G1 x G2 on V1 x V2 ((i, j) -> i*n2 + j, row-major), same uniformity.
 
     Edges are all r-sets projecting onto an edge in each operand: for each
-    edge pair, every matching of the two vertex sets, deduplicated after
-    canonicalization.
+    edge pair, every matching of the two vertex sets.  Each such set
+    determines its edge pair and matching, so none repeats.
     """
     if G1.r != G2.r:
         raise PreconditionError("direct product requires equal uniformity")
     r, n2 = G1.r, G2.n
-    edges = set()
-    for e in G1.edges:
-        for f in G2.edges:
-            for perm in permutations(f):
-                cand = tuple(sorted(e[i] * n2 + perm[i] for i in range(r)))
-                if len(set(cand)) == r:
-                    edges.add(cand)
-    return UniformHypergraph.from_edges(r, G1.n * G2.n, sorted(edges))
+    matchings = G2.edges_array[:, np.array(list(permutations(range(r))))]
+    edges = G1.edges_array[:, None, None, :] * n2 + matchings[None]
+    return UniformHypergraph.from_edges(r, G1.n * G2.n, edges.reshape(-1, r))
 
 
 def product_lambda(lam1: float, lam2: float, r: int, p: float) -> float:
@@ -58,7 +55,7 @@ def product_lambda(lam1: float, lam2: float, r: int, p: float) -> float:
 
 def generalized_power(G: UniformHypergraph) -> UniformHypergraph:
     """G^{r+1}: add one fresh degree-1 vertex to every edge."""
-    edges = [e + (G.n + k,) for k, e in enumerate(G.edges)]
+    edges = np.hstack([G.edges_array, G.n + np.arange(G.m)[:, None]])
     return UniformHypergraph.from_edges(G.r + 1, G.n + G.m, edges)
 
 
@@ -90,20 +87,12 @@ def extensions_enumerate(G: UniformHypergraph, guard: int = 8) -> list[UniformHy
     if G.m > guard:
         raise PreconditionError(f"extension enumeration limited to m <= {guard} (m={G.m})")
     out = []
-    seen = set()
     for part in _set_partitions(list(range(G.m))):
-        classes = sorted(part, key=min)
-        cls_of = {}
-        for i, cls in enumerate(classes):
-            for k in cls:
-                cls_of[k] = i
-        edges = tuple(
-            sorted(tuple(sorted(e + (G.n + cls_of[k],))) for k, e in enumerate(G.edges))
-        )
-        if edges in seen:
-            continue
-        seen.add(edges)
-        out.append(UniformHypergraph.from_edges(G.r + 1, G.n + len(classes), edges))
+        cls_of = np.empty(G.m, dtype=np.int64)
+        for i, cls in enumerate(sorted(part, key=min)):
+            cls_of[cls] = i
+        edges = np.hstack([G.edges_array, G.n + cls_of[:, None]])
+        out.append(UniformHypergraph.from_edges(G.r + 1, G.n + len(part), edges))
     return out
 
 

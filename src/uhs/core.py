@@ -1,76 +1,110 @@
 """r-uniform hypergraphs: representation, validation, I/O, basic combinatorics.
 
-Vertices are dense integer indices 0..n-1; edges are strictly increasing
-r-tuples kept in lexicographic order (canonical form).  Isolated vertices
-are representable because n is explicit.
+Vertices are dense integer indices 0..n-1.  The edges are stored once, as
+the read-only m x r int64 array ``edges_array`` in canonical form: each
+row strictly increasing, rows in strictly increasing lexicographic
+order.  ``edges`` is a tuple-of-tuples view of it, built on access.
+Isolated vertices are representable because n is explicit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import HypergraphFormatError
 
 
-@dataclass(frozen=True)
+def _edge_array(r: int, edges) -> np.ndarray:
+    """Any m x r integer array-like as a fresh m x r int64 array."""
+    try:
+        a = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise HypergraphFormatError(f"edges are not an m x {r} integer array") from exc
+    if a.size == 0:
+        a = a.reshape(0, r)
+    if a.ndim != 2 or a.shape[1] != r:
+        raise HypergraphFormatError(f"edges do not all have {r} vertices")
+    return a
+
+
+def _first_row(a: np.ndarray, bad: np.ndarray) -> tuple[int, ...]:
+    return tuple(a[np.flatnonzero(bad)[0]].tolist())
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class UniformHypergraph:
     """Immutable r-uniform hypergraph in canonical form.
 
-    ``edges_array`` (m x r int64) and per-vertex incidence lists are built
-    eagerly since every solver iteration traverses them.
+    The constructor takes any m x r integer array-like and rejects input
+    that is not canonical; ``from_edges`` canonicalizes first.  Equality
+    compares (r, n, edges_array).
     """
 
     r: int
     n: int
-    edges: tuple[tuple[int, ...], ...]
-    edges_array: np.ndarray = field(init=False, repr=False, compare=False)
-    incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    edges_array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise HypergraphFormatError(f"uniformity r={self.r} must be >= 1")
-        if self.n < 0:
-            raise HypergraphFormatError(f"vertex count n={self.n} must be >= 0")
-        seen = set()
-        for e in self.edges:
-            if len(e) != self.r or len(set(e)) != self.r:
-                raise HypergraphFormatError(f"edge {e} does not have {self.r} distinct vertices")
-            if any(not (0 <= v < self.n) for v in e):
-                raise HypergraphFormatError(f"edge {e} has a vertex index outside 0..{self.n - 1}")
-            if tuple(sorted(e)) != e:
-                raise HypergraphFormatError(f"edge {e} is not sorted (non-canonical)")
-            if e in seen:
-                raise HypergraphFormatError(f"duplicate edge {e}")
-            seen.add(e)
-        if list(self.edges) != sorted(self.edges):
+    def __init__(self, r: int, n: int, edges) -> None:
+        r, n = int(r), int(n)
+        if r < 1:
+            raise HypergraphFormatError(f"uniformity r={r} must be >= 1")
+        if n < 0:
+            raise HypergraphFormatError(f"vertex count n={n} must be >= 0")
+        a = _edge_array(r, edges)
+        outside = ((a < 0) | (a >= n)).any(axis=1)
+        if outside.any():
+            e = _first_row(a, outside)
+            raise HypergraphFormatError(f"edge {e} has a vertex index outside 0..{n - 1}")
+        unsorted = (np.diff(a, axis=1) <= 0).any(axis=1)
+        if unsorted.any():
+            e = _first_row(a, unsorted)
+            raise HypergraphFormatError(f"edge {e} is not strictly increasing (non-canonical)")
+        # consecutive rows: the first nonzero difference must be positive
+        d = np.diff(a, axis=0)
+        nonzero = d != 0
+        same = ~nonzero.any(axis=1)
+        if same.any():
+            raise HypergraphFormatError(f"duplicate edge {_first_row(a, same)}")
+        if (d[np.arange(d.shape[0]), nonzero.argmax(axis=1)] < 0).any():
             raise HypergraphFormatError("edge list is not in lexicographic order")
-        arr = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), self.r)
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for k, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(k)
-        object.__setattr__(self, "edges_array", arr)
-        object.__setattr__(self, "incidence", tuple(tuple(c) for c in inc))
+        a.flags.writeable = False
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges_array", a)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edges_array.shape[0]
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted vertex tuples, built from ``edges_array``."""
+        return tuple(map(tuple, self.edges_array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniformHypergraph):
+            return NotImplemented
+        return (self.r, self.n) == (other.r, other.n) and np.array_equal(
+            self.edges_array, other.edges_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.n, self.edges_array.tobytes()))
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
         """Canonicalize (sort within edges, sort edge list) and validate."""
-        canon = []
-        for e in edges:
-            e = tuple(int(v) for v in e)
-            if len(set(e)) != len(e):
-                raise HypergraphFormatError(f"edge {e} has a repeated vertex")
-            canon.append(tuple(sorted(e)))
-        if len(set(canon)) != len(canon):
+        a = np.sort(_edge_array(r, edges), axis=1)
+        repeated = (np.diff(a, axis=1) == 0).any(axis=1)
+        if repeated.any():
+            raise HypergraphFormatError(f"edge {_first_row(a, repeated)} has a repeated vertex")
+        a = a[np.lexsort(a.T[::-1])]
+        if (a[1:] == a[:-1]).all(axis=1).any():
             raise HypergraphFormatError("duplicate edge after canonicalization")
-        return cls(r=r, n=n, edges=tuple(sorted(canon)))
+        return cls(r=r, n=n, edges=a)
 
 
 @dataclass(frozen=True)
@@ -100,22 +134,22 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise HypergraphFormatError(f"malformed header {lines[0]!r}") from exc
     if r < 2:
         raise HypergraphFormatError(f"uniformity r={r} must be >= 2")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    rows = [ln.split() for ln in lines[1:]]
+    for ln, parts in zip(lines[1:], rows):
         if len(parts) != r:
             raise HypergraphFormatError(f"edge line {ln!r} does not have {r} vertices")
-        try:
-            edges.append([int(v) for v in parts])
-        except ValueError as exc:
-            raise HypergraphFormatError(f"non-integer vertex in line {ln!r}") from exc
+    try:
+        edges = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise HypergraphFormatError(f"non-integer vertex in the edge lines: {exc}") from exc
     return UniformHypergraph.from_edges(r, n, edges)
 
 
 def serialize_hypergraph(G: UniformHypergraph) -> str:
     """Emit canonical .uhg text; parse(serialize(G)) == G bit-exactly."""
+    row = " ".join(["%d"] * G.r)
     out = [f"{G.r} {G.n}"]
-    out.extend(" ".join(str(v) for v in e) for e in G.edges)
+    out.extend(row % tuple(e) for e in G.edges_array.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -125,13 +159,18 @@ def load_hypergraph(path) -> UniformHypergraph:
 
 
 def degrees(G: UniformHypergraph) -> DegreeProfile:
-    d = np.zeros(G.n, dtype=np.int64)
-    for e in G.edges:
-        for v in e:
-            d[v] += 1
+    d = np.bincount(G.edges_array.ravel(), minlength=G.n)
     delta = int(d.min()) if G.n else 0
     Delta = int(d.max()) if G.n else 0
     return DegreeProfile(degrees=d, delta=delta, Delta=Delta)
+
+
+def _induced(G: UniformHypergraph, inside: np.ndarray) -> UniformHypergraph:
+    """Edges of G inside the boolean vertex mask, relabeled monotonically
+    (which keeps rows sorted and in lexicographic order)."""
+    local = np.cumsum(inside) - 1
+    kept = G.edges_array[inside[G.edges_array].all(axis=1)]
+    return UniformHypergraph(G.r, int(inside.sum()), local[kept])
 
 
 def connected_components(G: UniformHypergraph) -> ComponentsResult:
@@ -140,32 +179,23 @@ def connected_components(G: UniformHypergraph) -> ComponentsResult:
     Each component comes with the map from its local vertex indices back
     to indices in G.  Isolated vertices are listed separately.
     """
-    parent = list(range(G.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in G.edges:
-        ra = find(e[0])
-        for v in e[1:]:
-            rv = find(v)
-            parent[rv] = ra
-    covered = set(v for e in G.edges for v in e)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(covered):
-        groups.setdefault(find(v), []).append(v)
+    edges = G.edges_array
+    # min-label propagation with pointer jumping: every vertex ends up
+    # labeled by the smallest vertex of its component
+    label = np.arange(G.n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, edges, label[edges].min(axis=1, keepdims=True))
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    covered = degrees(G).degrees > 0
     components = []
-    for root in sorted(groups, key=lambda rt: groups[rt][0]):
-        vmap = groups[root]
-        local = {v: i for i, v in enumerate(vmap)}
-        sub_edges = [tuple(local[v] for v in e) for e in G.edges if find(e[0]) == root]
-        sub = UniformHypergraph.from_edges(G.r, len(vmap), sub_edges)
-        components.append((sub, vmap))
-    isolated = [v for v in range(G.n) if v not in covered]
-    return ComponentsResult(components, isolated)
+    for root in np.unique(label[covered]):
+        inside = label == root
+        components.append((_induced(G, inside), np.flatnonzero(inside).tolist()))
+    return ComponentsResult(components, np.flatnonzero(~covered).tolist())
 
 
 def induced_subhypergraph(
@@ -175,13 +205,12 @@ def induced_subhypergraph(
 
     Returns the induced sub-hypergraph and the map local index -> original.
     """
-    vmap = sorted(set(int(v) for v in S))
-    if vmap and not (0 <= vmap[0] and vmap[-1] < G.n):
+    vmap = np.unique(np.fromiter(S, dtype=np.int64))
+    if vmap.size and not (0 <= vmap[0] and vmap[-1] < G.n):
         raise HypergraphFormatError("S contains a vertex outside 0..n-1")
-    inside = set(vmap)
-    local = {v: i for i, v in enumerate(vmap)}
-    sub_edges = [tuple(local[v] for v in e) for e in G.edges if inside.issuperset(e)]
-    return UniformHypergraph.from_edges(G.r, len(vmap), sub_edges), vmap
+    inside = np.zeros(G.n, dtype=bool)
+    inside[vmap] = True
+    return _induced(G, inside), vmap.tolist()
 
 
 def is_connected(G: UniformHypergraph) -> bool:

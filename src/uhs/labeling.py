@@ -5,6 +5,8 @@ conditions (edge weights summing to 1, unit row sums at vertices, and a
 common per-edge value alpha), plus a consistency condition equating the
 ratios w(e)/B(v,e) across the edges at each vertex.  Classification
 reports the tightest class the residuals support at a given tolerance.
+B and w are stored per corner (v, e) of the m x r edge array, so every
+condition is one scatter or one reduction over that array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UniformHypergraph
+from .core import UniformHypergraph, degrees
 from .errors import PreconditionError
 
 DEFAULT_TOL = 1e-8
@@ -129,9 +131,19 @@ def _check_support(G: UniformHypergraph, B: np.ndarray, w: np.ndarray) -> None:
 
 
 def _row_sums(G: UniformHypergraph, B: np.ndarray) -> np.ndarray:
-    rows = np.zeros(G.n)
-    np.add.at(rows, G.edges_array, B)
-    return rows
+    return np.bincount(G.edges_array.ravel(), weights=B.ravel(), minlength=G.n)
+
+
+def _relative_spread(G: UniformHypergraph, corner: np.ndarray) -> np.ndarray:
+    """(max - min) / max of an (m, r) corner array over the corners at each
+    vertex; 0 where the max is not positive (isolated vertices)."""
+    hi = np.full(G.n, -np.inf)
+    lo = np.full(G.n, np.inf)
+    np.maximum.at(hi, G.edges_array, corner)
+    np.minimum.at(lo, G.edges_array, corner)
+    spread = np.zeros(G.n)
+    np.divide(hi - lo, hi, out=spread, where=hi > 0)
+    return spread
 
 
 def condition_residuals(
@@ -139,27 +151,16 @@ def condition_residuals(
 ) -> dict:
     """Signed residuals of the three defining conditions plus consistency spread.
 
-    Shared by classification (p > r) and the p < r certificate machinery;
-    no regime gate here.
+    The edge residual is relative to alpha, w(e)^{p-r} prod B(v,e) / alpha - 1,
+    so it keeps its meaning when alpha = r^{p-r} / lambda^p is tiny.  No
+    regime gate here.
     """
     _check_support(G, B, w)
-    weight_sum = float(w.sum() - 1.0)
-    rows = _row_sums(G, B) - 1.0
-    edge_vals = w ** (p - G.r) * B.prod(axis=1) - alpha
-    ratio = w[:, None] / B  # (m, r): w(e)/B(v,e) at each corner
-    spread = np.zeros(G.n)
-    for v in range(G.n):
-        inc = G.incidence[v]
-        if len(inc) < 2:
-            continue
-        vals = [ratio[k, G.edges[k].index(v)] for k in inc]
-        hi, lo = max(vals), min(vals)
-        spread[v] = (hi - lo) / hi if hi > 0 else 0.0
     return {
-        "weight_sum": weight_sum,
-        "rows": rows,
-        "edges": edge_vals,
-        "consistency_spread": spread,
+        "weight_sum": float(w.sum() - 1.0),
+        "rows": _row_sums(G, B) - 1.0,
+        "edges": w ** (p - G.r) * B.prod(axis=1) / alpha - 1.0,
+        "consistency_spread": _relative_spread(G, w[:, None] / B),
     }
 
 
@@ -177,10 +178,13 @@ def _summary(res: dict) -> dict:
 def classify_labeling(
     G: UniformHypergraph, L: Labeling, tol: float = DEFAULT_TOL
 ) -> LabelingVerdict:
-    """Classify a labeling in the p > r regime against the three conditions."""
-    if L.p <= G.r:
+    """Classify a labeling in the p >= r regime against the three conditions.
+
+    At p = r the edge condition is prod B(v,e) = alpha (Lu-Man).
+    """
+    if L.p < G.r:
         raise PreconditionError(
-            f"classify_labeling requires p > r (got p={L.p}, r={G.r}); "
+            f"classify_labeling requires p >= r (got p={L.p}, r={G.r}); "
             "use classify_labeling_sub_r for 1 <= p < r"
         )
     res = condition_residuals(G, L.B, L.w, L.p, L.alpha)
@@ -260,22 +264,24 @@ def labeling_from_eigenvector(
 def eigenvector_from_labeling(
     G: UniformHypergraph, L: Labeling, tol: float = DEFAULT_TOL
 ) -> PVector:
-    """Recover x_v = (w(e) / (r B(v,e)))^{1/p} from a consistent labeling."""
-    vals = np.zeros(G.n)
-    for v in range(G.n):
-        inc = G.incidence[v]
-        if not inc:
-            raise PreconditionError(f"vertex {v} has no incident edge")
-        cand = [
-            (L.w[k] / (G.r * L.B[k, G.edges[k].index(v)])) ** (1.0 / L.p) for k in inc
-        ]
-        hi, lo = max(cand), min(cand)
-        if hi > 0 and (hi - lo) / hi > tol:
-            raise PreconditionError(
-                f"inconsistent labeling at vertex {v}: edge-dependent values"
-            )
-        vals[v] = cand[0]
-    return PVector(values=vals, p=L.p)
+    """Recover x_v = (w(e) / (r B(v,e)))^{1/p} from a consistent labeling.
+
+    x_v is the value at the lowest-index edge through v.
+    """
+    _check_support(G, L.B, L.w)
+    isolated = np.flatnonzero(degrees(G).degrees == 0)
+    if isolated.size:
+        raise PreconditionError(f"vertex {isolated[0]} has no incident edge")
+    # float_power runs the C pow on each entry, as scalar arithmetic does;
+    # np.power may take a SIMD path that differs in the last bit
+    cand = np.float_power(L.w[:, None] / (G.r * L.B), 1.0 / L.p)
+    bad = np.flatnonzero(_relative_spread(G, cand) > tol)
+    if bad.size:
+        raise PreconditionError(
+            f"inconsistent labeling at vertex {bad[0]}: edge-dependent values"
+        )
+    _, first = np.unique(G.edges_array, return_index=True)
+    return PVector(values=cand.ravel()[first], p=L.p)
 
 
 def weight_only_residual(
@@ -289,8 +295,7 @@ def weight_only_residual(
     w = np.asarray(w, dtype=float)
     if w.shape != (G.m,):
         raise PreconditionError(f"expected {G.m} edge weights")
-    vertex_sums = np.zeros(G.n)
-    np.add.at(vertex_sums, G.edges_array, np.broadcast_to(w[:, None], G.edges_array.shape))
+    vertex_sums = np.bincount(G.edges_array.ravel(), weights=np.repeat(w, G.r), minlength=G.n)
     denom = vertex_sums[G.edges_array].prod(axis=1)
     per_edge = w**p / denom - alpha
     return {"per_edge": per_edge, "weight_sum": float(abs(w.sum() - 1.0))}

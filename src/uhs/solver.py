@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import batch_support_sums, polynomial_sum, support_sums
 from .core import UniformHypergraph, degrees, induced_subhypergraph
 from .errors import ConvergenceError, PreconditionError
-from .labeling import Labeling, PVector, alpha_from_lambda, labeling_from_eigenvector, weight_only_residual
+from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_residual
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,11 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
 
 
 def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.ndarray:
+    """The all-ones vector, one indicator row per edge, then random restarts."""
     n = G.n
-    rows = [np.full(n, 1.0)]
-    for e in G.edges:
-        v = np.zeros(n)
-        v[list(e)] = 1.0
-        rows.append(v)
-    if opts.restarts > 0:
-        g = rng.gamma(1.0, size=(opts.restarts, n))
-        rows.extend(g)
-    X = np.asarray(rows, dtype=float)
+    indicators = np.zeros((G.m, n))
+    indicators[np.arange(G.m)[:, None], G.edges_array] = 1.0
+    X = np.vstack([np.ones((1, n)), indicators, rng.gamma(1.0, size=(opts.restarts, n))])
     X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
     return X
 
@@ -260,7 +255,7 @@ def _polish_critical(
         except np.linalg.LinAlgError:
             return None
         trial = u + step
-        if (trial[:ns] <= 0).any() or trial[ns] <= 0:
+        if not (np.isfinite(trial) & (trial > 0)).all():
             return None
         ft = F(trial)
         if np.linalg.norm(ft) >= np.linalg.norm(fu):
@@ -338,11 +333,13 @@ def certificate_search_sub_r(
     sub_opts = replace(opts, restarts=min(opts.restarts, 8))
     exhaustive = G.n <= opts.subgraph_limit
     if exhaustive:
-        supports = set()
-        for mask in range(1, 1 << G.m):
-            S = frozenset(v for k in range(G.m) if mask >> k & 1 for v in G.edges[k])
-            supports.add(S)
-        candidates = sorted(tuple(sorted(S)) for S in supports)
+        # every union of edges, as boolean vertex rows: fold in one edge at a time
+        rows = np.zeros((G.m, G.n), dtype=bool)
+        rows[np.arange(G.m)[:, None], G.edges_array] = True
+        unions = np.zeros((1, G.n), dtype=bool)
+        for row in rows:
+            unions = np.unique(np.vstack([unions, unions | row]), axis=0)
+        candidates = sorted(tuple(np.flatnonzero(u).tolist()) for u in unions if u.any())
     else:
         rng = np.random.default_rng(opts.seed)
         heur = _pga_best(G, p, opts, rng)
@@ -401,11 +398,9 @@ def solve_weight_system(
         wo = np.exp(u[:korb])
         a = u[korb]
         w = wo[orbit_of]
-        sums = np.zeros(G.n)
-        np.add.at(sums, edges, np.broadcast_to(w[:, None], edges.shape))
+        sums = np.bincount(edges.ravel(), weights=np.repeat(w, G.r), minlength=G.n)
         out = np.empty(korb + 1)
-        for k, rep in enumerate(reps):
-            out[k] = p * u[k] - np.log(sums[edges[rep]]).sum() - a
+        out[:korb] = p * u[:korb] - np.log(sums[edges[reps]]).sum(axis=1) - a
         out[korb] = w.sum() - 1.0
         return out
 
@@ -472,7 +467,3 @@ def compose_components_max(lams: Sequence[float]) -> float:
 def solver_certificate(G: UniformHypergraph, result: SpectralResult) -> Labeling:
     """Labeling induced by a converged solver eigenpair."""
     return labeling_from_eigenvector(G, result.x, result.lam)
-
-
-def certified_alpha(result: SpectralResult, r: int, p: float) -> float:
-    return alpha_from_lambda(result.lam, r, p)

@@ -96,6 +96,18 @@ def test_solve_emit_cert_then_verify(fixture_dir, tmp_path, capsys):
     assert verdict["class"] == "normal" and verdict["consistent"] is True
 
 
+def test_solve_emit_cert_then_verify_at_p_equals_r(fixture_dir, tmp_path, capsys):
+    # at p = r the edge condition is Lu-Man's prod B(v,e) = alpha
+    cert = tmp_path / "cert.json"
+    star = str(fixture_dir / "star_g2.uhg")
+    argv = ["solve", star, "--p", "3", "--emit-cert", str(cert), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    code, out = run_capture(capsys, ["verify", star, "--cert", str(cert)])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["class"] == "normal" and verdict["consistent"] is True
+
+
 def test_verify_sub_r_routing(fixture_dir, tmp_path, capsys):
     import numpy as np
 

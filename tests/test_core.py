@@ -168,9 +168,11 @@ def test_degree_sum_invariant(G):
     assert int(degrees(G).degrees.sum()) == G.r * G.m
 
 
-@given(hypergraphs())
+@given(hypergraphs(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_incidence_matches_edges(G):
-    for v in range(G.n):
-        assert all(v in G.edges[k] for k in G.incidence[v])
-    assert sum(len(c) for c in G.incidence) == G.r * G.m
+def test_induced_matches_reference(G, data):
+    S = data.draw(st.sets(st.integers(0, G.n - 1)))
+    sub, vmap = induced_subhypergraph(G, S)
+    local = {v: i for i, v in enumerate(sorted(S))}
+    expect = sorted(tuple(local[v] for v in e) for e in G.edges if S.issuperset(e))
+    assert vmap == sorted(S) and sub.n == len(S) and sub.edges == tuple(expect)

@@ -4,36 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_connected
 from uhs import _kernels
 from uhs.constructions import grid_g1
-
-
-def test_backend_selected():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_backends_agree_on_fixture():
-    G = grid_g1()
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.1, 1.0, G.n)
-    s_np, prods_np = _kernels.support_sums_numpy(x, G.edges_array, G.n)
-    s, prods = _kernels.support_sums(x, G.edges_array, G.n)
-    assert np.abs(s - s_np).max() <= 1e-14
-    assert np.abs(prods - prods_np).max() <= 1e-14
-
-
-def test_backends_agree_random():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        r = int(rng.integers(2, 5))
-        n = int(rng.integers(r, r + 6))
-        G = random_connected(rng, r, n)
-        x = rng.uniform(0.0, 1.0, n)
-        s_np, prods_np = _kernels.support_sums_numpy(x, G.edges_array, G.n)
-        s, prods = _kernels.support_sums(x, G.edges_array, G.n)
-        assert np.abs(s - s_np).max() <= 1e-13
-        assert np.abs(prods - prods_np).max() <= 1e-13
 
 
 def test_support_sums_definition():
@@ -44,16 +16,15 @@ def test_support_sums_definition():
     s, prods = _kernels.support_sums(x, G.edges_array, G.n)
     for k, e in enumerate(G.edges):
         assert math.isclose(prods[k], np.prod([x[v] for v in e]), rel_tol=1e-14)
+    edges = G.edges
     for i in range(G.n):
-        expect = sum(
-            np.prod([x[v] for v in G.edges[k] if v != i]) for k in G.incidence[i]
-        )
+        expect = sum(np.prod([x[v] for v in e if v != i]) for e in edges if i in e)
         assert math.isclose(s[i], expect, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_empty_edge_set():
     edges = np.zeros((0, 3), dtype=np.int64)
-    s, prods = _kernels.support_sums_numpy(np.ones(4), edges, 4)
+    s, prods = _kernels.support_sums(np.ones(4), edges, 4)
     assert s.tolist() == [0.0] * 4 and prods.size == 0
     S, P = _kernels.batch_support_sums(np.ones((2, 4)), edges, 4)
     assert S.shape == (2, 4) and P.shape == (2, 0)
@@ -65,7 +36,7 @@ def test_batch_matches_single():
     X = rng.uniform(0.0, 1.0, (5, G.n))
     S, P = _kernels.batch_support_sums(X, G.edges_array, G.n)
     for k in range(5):
-        s, prods = _kernels.support_sums_numpy(X[k], G.edges_array, G.n)
+        s, prods = _kernels.support_sums(X[k], G.edges_array, G.n)
         assert np.abs(S[k] - s).max() <= 1e-14
         assert np.abs(P[k] - prods).max() <= 1e-14
 

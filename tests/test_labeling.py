@@ -1,11 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import star_weights
+from helpers import random_connected, star_weights
 from uhs.constructions import (
     grid_g1,
     grid_g1_orbits,
@@ -14,7 +15,7 @@ from uhs.constructions import (
     star_g2_orbits,
     two_triangles_path,
 )
-from uhs.core import degrees
+from uhs.core import UniformHypergraph, degrees
 from uhs.errors import PreconditionError
 from uhs.labeling import (
     Labeling,
@@ -94,6 +95,17 @@ def test_mixed_violations_classify_none():
     w = np.array([0.5, 0.5, 0.2, 0.2])  # weight sum 1.4, rows both over and under
     L = Labeling(B=B, w=w, p=4.0, alpha=0.1)
     assert classify_labeling(G, L).classification == "none"
+
+
+def test_wrong_alpha_detected_when_alpha_is_tiny():
+    # K_4^(3) at p = 20: lambda = 9.747, alpha = 2.16e-12
+    G = UniformHypergraph.from_edges(3, 4, list(combinations(range(4), 3)))
+    res = solve_p_spectral(G, 20.0)
+    L = labeling_from_eigenvector(G, res.x, res.lam)
+    assert L.alpha < 1e-11
+    assert classify_labeling(G, L).classification == "normal"
+    wrong = Labeling(B=L.B, w=L.w, p=L.p, alpha=L.alpha * 1.05)
+    assert classify_labeling(G, wrong).classification != "normal"
 
 
 def test_classify_rejects_small_p():
@@ -177,6 +189,25 @@ def test_eigenvector_requires_full_coverage():
     L = Labeling(B=np.full((1, 2), 1.0), w=np.ones(1), p=5.0, alpha=1.0)
     with pytest.raises(PreconditionError):
         eigenvector_from_labeling(G, L)
+
+
+def test_corner_reductions_match_vertex_loop():
+    # reference: per vertex, the corners (k, position of v in edge k) in edge order
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        G = random_connected(rng, 3, 9, extra=4)
+        corners = [[(k, e.index(v)) for k, e in enumerate(G.edges) if v in e] for v in range(G.n)]
+        B = rng.uniform(0.1, 1.0, (G.m, G.r))
+        w = rng.uniform(0.1, 1.0, G.m)
+        spread = condition_residuals(G, B, w, 4.0, 1.0)["consistency_spread"]
+        for v, cs in enumerate(corners):
+            vals = [w[k] / B[k, j] for k, j in cs]
+            hi, lo = max(vals), min(vals)
+            assert spread[v] == (hi - lo) / hi
+        res = solve_p_spectral(G, 4.0)
+        L = labeling_from_eigenvector(G, res.x, res.lam)
+        first = [(L.w[k] / (G.r * L.B[k, j])) ** (1.0 / L.p) for k, j in (cs[0] for cs in corners)]
+        assert np.array_equal(eigenvector_from_labeling(G, L).values, PVector(np.array(first), 4.0).values)
 
 
 def test_weight_only_residual_closed_form():

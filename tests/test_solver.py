@@ -16,6 +16,7 @@ from uhs.errors import PreconditionError
 from uhs.labeling import alpha_from_lambda, classify_labeling, eigenvector_from_labeling
 from uhs.solver import (
     SolverOptions,
+    _polish_critical,
     certificate_search_sub_r,
     compose_components,
     compose_components_max,
@@ -114,6 +115,20 @@ def test_two_triangles_at_p_one():
     assert res.converged
     assert abs(res.lam - 2.0 / 3.0) <= 1e-10
     assert set(res.support) in ({0, 1, 2}, {3, 4, 5})
+
+
+def test_polish_rejects_non_finite_trial():
+    # a support entry of 1e-9 sends the finite-difference Jacobian through
+    # negative entries; the NaN step must not be accepted as a solution
+    G = star_g2()
+    p = 1.5
+    res = solve_p_spectral(G, p)
+    support = np.flatnonzero(res.x.values > 1e-12)
+    x0 = res.x.values.copy()
+    x0[support[-1]] = 1e-9
+    with np.errstate(invalid="ignore"):
+        polished = _polish_critical(G, x0, res.lam, p, support, 1e-10)
+    assert polished is None or np.isfinite(polished[1])
 
 
 def test_certificate_search_two_triangles():
