@@ -2,8 +2,9 @@
 
 Three engines: a damped fixed-point iteration on the eigenequation for
 p >= r, a batched multi-start projected-gradient ascent on the
-nonnegative l^p sphere for 1 <= p < r, and a Newton solver for the
-orbit-reduced weight system.
+nonnegative l^p sphere for 1 <= p < r, and the orbit-reduced weight
+system.  The p < r critical points are polished on their support, and the
+weight system is solved, by one Newton helper with analytic Jacobians.
 """
 
 from __future__ import annotations
@@ -14,10 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import batch_support_sums, polynomial_sum, support_sums
+from ._kernels import _leave_one_out, batch_support_sums, polynomial_sum, support_sums
 from .core import UniformHypergraph, degrees, induced_subhypergraph
 from .errors import ConvergenceError, PreconditionError
-from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_residual
+from .labeling import (
+    Labeling,
+    PVector,
+    eigenvector_from_labeling,
+    labeling_from_eigenvector,
+    weight_only_residual,
+)
 
 
 @dataclass(frozen=True)
@@ -215,55 +222,68 @@ def _pga_best(
     )
 
 
+def _newton(F, J, u: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Damped Newton iteration for F(u) = 0; returns the last accepted u.
+
+    Each step solves J(u) du = -F(u) in the least-squares sense, so a
+    singular Jacobian (a degenerate critical set) still gives a step.  The
+    step is halved until ||F|| falls; the iteration stops when it never
+    does, at max|F| <= tol, or after max_iter steps.  Callers check the
+    answer themselves.
+    """
+    fu = F(u)
+    norm = np.linalg.norm(fu)
+    for _ in range(max_iter):
+        if np.abs(fu).max() <= tol:
+            break
+        step = np.linalg.lstsq(J(u), -fu, rcond=None)[0]
+        for t in 0.5 ** np.arange(40):
+            # a trial may overflow; its non-finite norm fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                ft = F(u + t * step)
+                nt = np.linalg.norm(ft)
+            if nt <= (1 - 1e-4 * t) * norm:
+                break
+        else:
+            break
+        u, fu, norm = u + t * step, ft, nt
+    return u
+
+
 def _polish_critical(
     G: UniformHypergraph, x0: np.ndarray, lam0: float, p: float, support: np.ndarray, tol: float
 ):
     """Newton refinement of the eigensystem on a fixed support.
 
-    Solves s_i(x) = lam * x_i^{p-1} (i in support) together with the unit
-    l^p norm; returns None when the Jacobian is singular (degenerate
-    critical manifolds) or the iteration leaves the positive cone.
+    Solves s_i(x) = lam * x_i^{p-1} on G[support] together with the unit
+    l^p norm, in the unknowns (log x, lam), so x stays positive.  The
+    Jacobian is exact: d s_i / d log x_j (j != i) is the sum, over edges
+    holding both i and j, of the product of x over the edge without i.
+    Returns None when the iteration drifts to a different critical value.
     """
-    ns = support.shape[0]
-    if ns == 0 or ns > 40:
-        return None
-    n = G.n
+    sub, vmap = induced_subhypergraph(G, support)
+    edges, ns = sub.edges_array, sub.n
+    a, b = np.nonzero(~np.eye(G.r, dtype=bool))  # ordered position pairs within an edge
 
     def F(u: np.ndarray) -> np.ndarray:
-        x = np.zeros(n)
-        x[support] = u[:ns]
-        lam = u[ns]
-        s, _ = support_sums(x, G.edges_array, n)
-        out = np.empty(ns + 1)
-        out[:ns] = s[support] - lam * np.power(u[:ns], p - 1.0)
-        out[ns] = np.power(u[:ns], p).sum() - 1.0
+        x = np.exp(u[:ns])
+        s, _ = support_sums(x, edges, ns)
+        return np.append(s - u[ns] * np.power(x, p - 1.0), np.power(x, p).sum() - 1.0)
+
+    def J(u: np.ndarray) -> np.ndarray:
+        x = np.exp(u[:ns])
+        xq = np.power(x, p - 1.0)
+        out = np.zeros((ns + 1, ns + 1))
+        np.add.at(out, (edges[:, a], edges[:, b]), _leave_one_out(x[edges])[:, a])
+        out[np.arange(ns), np.arange(ns)] = -u[ns] * (p - 1.0) * xq
+        out[:ns, ns] = -xq
+        out[ns, :ns] = p * xq * x
         return out
 
-    u = np.concatenate([x0[support], [lam0]])
-    fu = F(u)
-    for _ in range(40):
-        if np.abs(fu).max() <= 0.01 * tol:
-            break
-        h = 1e-7
-        J = np.empty((ns + 1, ns + 1))
-        for j in range(ns + 1):
-            du = np.zeros_like(u)
-            du[j] = h * max(1.0, abs(u[j]))
-            J[:, j] = (F(u + du) - F(u - du)) / (2 * du[j])
-        try:
-            step = np.linalg.solve(J, -fu)
-        except np.linalg.LinAlgError:
-            return None
-        trial = u + step
-        if not (np.isfinite(trial) & (trial > 0)).all():
-            return None
-        ft = F(trial)
-        if np.linalg.norm(ft) >= np.linalg.norm(fu):
-            break
-        u, fu = trial, ft
-    x = np.zeros(n)
-    x[support] = u[:ns]
-    s, prods = support_sums(x, G.edges_array, n)
+    u = _newton(F, J, np.append(np.log(x0[vmap]), lam0), 0.01 * tol, 40)
+    x = np.zeros(G.n)
+    x[vmap] = np.exp(u[:ns])
+    s, prods = support_sums(x, G.edges_array, G.n)
     lam = G.r * float(polynomial_sum(prods))
     residual = _residual(s, x, lam, p)
     if abs(lam - lam0) > 1e-4 * max(1.0, lam0):
@@ -299,8 +319,6 @@ def solve_p_spectral(
         cert = certificate_search_sub_r(G, p, opts)
         if cert.lam > result.lam:
             x = np.zeros(G.n)
-            from .labeling import eigenvector_from_labeling
-
             xs = eigenvector_from_labeling(induced_subhypergraph(G, cert.S)[0], cert.labeling)
             x[list(cert.S)] = xs.values
             result = replace(
@@ -391,48 +409,31 @@ def solve_weight_system(
     orbit_of = np.empty(G.m, dtype=np.int64)
     for k, cls in enumerate(orbits):
         orbit_of[list(cls)] = k
-    reps = [orbits[k][0] for k in range(korb)]
     edges = G.edges_array
+    count = np.zeros((G.n, korb))  # count[v, j]: edges of orbit j holding v
+    np.add.at(count, (edges, orbit_of[:, None]), 1.0)
+    size = np.bincount(orbit_of, minlength=korb)
+    rep = edges[[cls[0] for cls in orbits]]
 
     def F(u: np.ndarray) -> np.ndarray:
         wo = np.exp(u[:korb])
-        a = u[korb]
-        w = wo[orbit_of]
-        sums = np.bincount(edges.ravel(), weights=np.repeat(w, G.r), minlength=G.n)
-        out = np.empty(korb + 1)
-        out[:korb] = p * u[:korb] - np.log(sums[edges[reps]]).sum(axis=1) - a
-        out[korb] = w.sum() - 1.0
+        out = p * u[:korb] - np.log((count @ wo)[rep]).sum(axis=1) - u[korb]
+        return np.append(out, size @ wo - 1.0)
+
+    def J(u: np.ndarray) -> np.ndarray:
+        wo = np.exp(u[:korb])
+        sums = count @ wo
+        out = np.zeros((korb + 1, korb + 1))
+        out[:korb, :korb] = p * np.eye(korb) - (count[rep] / sums[rep][..., None]).sum(axis=1) * wo
+        out[:korb, korb] = -1.0
+        out[korb, :korb] = size * wo
         return out
 
     u = np.zeros(korb + 1)
     u[:korb] = -np.log(G.m)
-    u[korb] = F(u)[0] + u[korb]  # make the first orbit equation exact at the start
-    fu = F(u)
-    h = 1e-7
-    for _ in range(100):
-        if np.abs(fu).max() <= 1e-13:
-            break
-        J = np.empty((korb + 1, korb + 1))
-        for j in range(korb + 1):
-            du = np.zeros_like(u)
-            du[j] = h
-            J[:, j] = (F(u + du) - F(u - du)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -fu)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Jacobian in weight-system Newton") from exc
-        t = 1.0
-        norm0 = np.linalg.norm(fu)
-        for _ in range(40):
-            trial = u + t * step
-            ft = F(trial)
-            if np.linalg.norm(ft) <= (1 - 1e-4 * t) * norm0:
-                u, fu = trial, ft
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError("line search failed in weight-system Newton")
-    else:
+    u[korb] = F(u)[0]  # make the first orbit equation exact at the start
+    u = _newton(F, J, u, 1e-13, 100)
+    if np.abs(F(u)).max() > 1e-13:
         raise ConvergenceError("weight-system Newton did not converge")
     w_full = np.exp(u[:korb])[orbit_of]
     alpha = float(np.exp(u[korb]))

@@ -118,8 +118,8 @@ def test_two_triangles_at_p_one():
 
 
 def test_polish_rejects_non_finite_trial():
-    # a support entry of 1e-9 sends the finite-difference Jacobian through
-    # negative entries; the NaN step must not be accepted as a solution
+    # a support entry of 1e-9 once sent the Newton step through negative
+    # entries; a NaN step must not be accepted as a solution
     G = star_g2()
     p = 1.5
     res = solve_p_spectral(G, p)
@@ -129,6 +129,45 @@ def test_polish_rejects_non_finite_trial():
     with np.errstate(invalid="ignore"):
         polished = _polish_critical(G, x0, res.lam, p, support, 1e-10)
     assert polished is None or np.isfinite(polished[1])
+
+
+def test_polish_recovers_tiny_support_entry():
+    G = star_g2()
+    p = 1.5
+    res = solve_p_spectral(G, p)
+    support = np.flatnonzero(res.x.values > 1e-12)
+    x0 = res.x.values.copy()
+    x0[support[-1]] = 1e-9
+    _, lam, residual = _polish_critical(G, x0, res.lam, p, support, 1e-10)
+    assert residual <= 1e-10
+    assert abs(lam - res.lam) <= 1e-12
+
+
+def test_polish_converges_from_perturbed_eigenvector():
+    # 40 Newton steps from a 1e-3 perturbation reach 1e-13 only with the
+    # exact Jacobian; an approximate one converges linearly
+    G = grid_g1()
+    p = 3.0
+    res = solve_p_spectral(G, p)
+    x0 = res.x.values * (1 + 1e-3 * np.random.default_rng(0).standard_normal(G.n))
+    *_, residual = _polish_critical(G, x0, res.lam, p, np.arange(G.n), 1e-11)
+    assert residual <= 1e-13
+
+
+def test_p3_at_p_one_converges():
+    # the maximizers of P3 at p = 1 form a segment, so the Jacobian is
+    # singular; Motzkin-Straus gives 1 - 1/omega = 1/2
+    G = UniformHypergraph.from_edges(2, 3, [(0, 1), (1, 2)])
+    res = solve_p_spectral(G, 1.0)
+    assert res.converged
+    assert abs(res.lam - 0.5) <= 1e-10
+
+
+def test_support_of_more_than_forty_vertices_converges():
+    G = random_connected(np.random.default_rng(0), 3, 50, 50)
+    res = solve_p_spectral(G, 2.5)
+    assert len(res.support) > 40
+    assert res.converged
 
 
 def test_certificate_search_two_triangles():
