@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def _cmd_verify(args) -> int:
     if p < G.r:
         verdict = classify_labeling_sub_r(G, cert.B, cert.alpha, p, tol=args.tol)
     else:
-        verdict = classify_labeling(G, cert, tol=args.tol)
+        verdict = classify_labeling(G, replace(cert, p=p), tol=args.tol)
     if args.format == "text":
         _emit(
             f"class      {verdict.classification}\n"

@@ -9,6 +9,7 @@ Isolated vertices are representable because n is explicit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -120,7 +121,7 @@ class ComponentsResult(NamedTuple):
 
 
 def parse_hypergraph(text: str) -> UniformHypergraph:
-    """Parse .uhg text: header ``r n`` then one edge per line; # comments."""
+    """Parse .uhg text: header ``r n`` then one edge per line; whole-line # comments."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -134,14 +135,16 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise HypergraphFormatError(f"malformed header {lines[0]!r}") from exc
     if r < 2:
         raise HypergraphFormatError(f"uniformity r={r} must be >= 2")
-    rows = [ln.split() for ln in lines[1:]]
-    for ln, parts in zip(lines[1:], rows):
-        if len(parts) != r:
-            raise HypergraphFormatError(f"edge line {ln!r} does not have {r} vertices")
+    if len(lines) == 1:  # no edge lines; loadtxt would warn on empty input
+        return UniformHypergraph(r, n, ())
+    # mixed arity fails in loadtxt, a constant wrong arity in the constructor;
+    # loadtxt only warns when it truncates a float token such as 2.7
     try:
-        edges = np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise HypergraphFormatError(f"non-integer vertex in the edge lines: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise HypergraphFormatError(f"malformed edge lines: {exc}") from exc
     return UniformHypergraph.from_edges(r, n, edges)
 
 

