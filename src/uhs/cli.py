@@ -72,6 +72,7 @@ def _cmd_solve(args) -> int:
     if args.format == "text":
         lines = [
             f"lambda     {result.lam!r}",
+            f"bracket    [{result.lam_lo!r}, {result.lam_hi!r}]",
             f"residual   {result.residual!r}",
             f"iterations {result.iterations}",
             f"converged  {result.converged}",

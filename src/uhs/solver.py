@@ -43,20 +43,38 @@ class SolverOptions:
             raise PreconditionError("tol must be positive")
         if not (0 < self.damping <= 1):
             raise PreconditionError("damping must lie in (0, 1]")
+        if self.max_iter < 1:
+            raise PreconditionError("max_iter must be at least 1")
+        if self.restarts < 0:
+            raise PreconditionError("restarts must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SpectralResult:
+    """lam = P(x) and its bracket [lam_lo, lam_hi] on lambda^(p).
+
+    lam_hi is the concavity bound of P in x^p on the final iterate (at
+    p = r the Collatz-Wielandt bound); it is set for p >= r when x > 0
+    and is None otherwise.
+    """
+
     lam: float
     x: PVector
     residual: float
     iterations: int
     converged: bool
     support: tuple[int, ...]
+    lam_hi: float | None = None
+
+    @property
+    def lam_lo(self) -> float:
+        return self.lam  # P(x) at a unit x never exceeds the maximum
 
     def to_json(self) -> str:
         payload = {
             "lambda": self.lam,
+            "lambda_lo": self.lam_lo,
+            "lambda_hi": self.lam_hi,
             "residual": self.residual,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -107,31 +125,43 @@ def _empty_result(G: UniformHypergraph, p: float) -> SpectralResult:
 
 
 def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> SpectralResult:
+    """Normalized fixed point x <- (s(x) / lam)^{1/(p-1)} on the unit l^p sphere.
+
+    On bipartite-like inputs (odd paths at p = r) the undamped map keeps a
+    -lam mode and falls into a 2-cycle.  The iteration shows it: successive
+    steps point opposite ways for a few steps running while the residual
+    does not fall over two steps.  Then the map is damped to theta = 1/2,
+    which sends that mode to 0.
+    """
     n, r = G.n, G.r
     edges = G.edges_array
     x = np.full(n, n ** (-1.0 / p))
     theta = opts.damping
-    prev = np.inf
-    worse = 0
-    lam = 0.0
-    res = np.inf
-    it = 0
+    step = np.zeros(n)
+    flips = 0
+    res2 = res1 = np.inf  # residuals two steps and one step back
     for it in range(1, opts.max_iter + 1):
         s, prods = support_sums(x, edges, n)
-        lam = r * float(polynomial_sum(prods))
-        res = float(_residual(s, x, lam, p))
-        if res <= opts.tol:
-            break
-        if res > prev:
-            worse += 1
-            if worse >= 10 and theta > 0.5:
-                theta = 0.5
-                worse = 0
-        else:
-            worse = 0
-        prev = res
-        y = ((1.0 - theta) * np.power(x, p - 1.0) + theta * s / lam) ** (1.0 / (p - 1.0))
-        x = y / _norm_p(y, p)
+        xq = x ** (p - 1.0)
+        lam = r * float(prods.sum())
+        res = float(np.abs(s - lam * xq).max())
+        if res <= opts.tol or it == opts.max_iter:
+            break  # s, prods and xq stay those of the returned x
+        y = ((1.0 - theta) * xq + theta * s / lam) ** (1.0 / (p - 1.0))
+        y /= _norm_p(y, p)
+        prev, step = step, y - x
+        flips = flips + 1 if float(step @ prev) < 0 else 0
+        if theta > 0.5 and flips >= 3 and res >= res2:
+            theta = 0.5
+        res2, res1 = res1, res
+        x = y
+    # one compensated sum, on the final iterate
+    lam = r * float(polynomial_sum(prods))
+    res = float(np.abs(s - lam * xq).max())
+    lam_hi = None
+    if xq.min() > 0:
+        # max s/xq >= P(x) on the unit sphere; rounding can put it an ulp below
+        lam_hi = lam + (r / p) * max(float((s / xq).max()) - lam, 0.0)
     return SpectralResult(
         lam=lam,
         x=PVector(values=x, p=p),
@@ -139,6 +169,7 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
         iterations=it,
         converged=res <= opts.tol,
         support=tuple(np.flatnonzero(x > 0).tolist()),
+        lam_hi=lam_hi,
     )
 
 

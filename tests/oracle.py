@@ -1,12 +1,26 @@
-"""Brute-force reference maximizer, independent of the solver package.
+"""Reference values independent of the solver package.
 
-Maximizes P(x) = r * sum_e prod_{v in e} x_v over the nonnegative unit
-l^p sphere by working in the simplex of t_v = x_v^p: a coarse composition
-grid followed by pattern search that shifts mass h between coordinate
-pairs, halving h until it drops below 1e-4.
+Closed forms at p = r for paths and loose paths, and a brute-force
+maximizer of P(x) = r * sum_e prod_{v in e} x_v over the nonnegative unit
+l^p sphere.  The maximizer works in the simplex of t_v = x_v^p: a coarse
+composition grid followed by pattern search that shifts mass h between
+coordinate pairs, halving h until it drops below 1e-4.
 """
 
+import math
+
 import numpy as np
+
+
+def path_lambda(n: int) -> float:
+    """lambda^(2) of the path with n vertices: its adjacency spectral radius."""
+    return 2.0 * math.cos(math.pi / (n + 1))
+
+
+def loose_path_lambda(n: int, r: int) -> float:
+    """lambda^(r) of the loose r-uniform path made from the n-vertex path by
+    adding r - 2 fresh vertices to every edge: (2 cos(pi/(n+1)))^(2/r)."""
+    return path_lambda(n) ** (2.0 / r)
 
 
 def compositions(total: int, parts: int):

@@ -290,6 +290,7 @@ def test_ac7_theorem_checks():
     )
 
 
+@pytest.mark.slow
 def test_ac8_brute_force_equivalence():
     instances = []
     for r in (2, 3):

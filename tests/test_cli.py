@@ -45,13 +45,38 @@ def test_solve_json_output(fixture_dir, capsys):
     assert len(payload["x"]) == 25
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("p", ["3", "4.5"])
+def test_solve_json_bracket(fixture_dir, capsys, p):
+    code, out = run_capture(capsys, ["solve", str(fixture_dir / "star_g2.uhg"), "--p", p])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["lambda_lo"] == payload["lambda"] <= payload["lambda_hi"]
+    assert payload["lambda_hi"] - payload["lambda"] <= 1e-7 * payload["lambda"]
+
+
+def test_solve_json_bracket_below_r_is_null(fixture_dir, capsys):
+    code, out = run_capture(capsys, ["solve", str(fixture_dir / "star_g2.uhg"), "--p", "2"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["lambda_lo"] == payload["lambda"] and payload["lambda_hi"] is None
+
+
 def test_solve_text_output(fixture_dir, capsys):
     code, out = run_capture(
         capsys,
         ["solve", str(fixture_dir / "k_3_3.uhg"), "--p", "4.5", "--format", "text"],
     )
     assert code == 0
-    assert out.splitlines()[0].startswith("lambda")
+    lines = out.splitlines()
+    assert lines[0].startswith("lambda")
+    assert lines[1].startswith("bracket    [")
 
 
 def test_solve_sub_r(fixture_dir, capsys):
@@ -255,6 +280,12 @@ def test_malformed_file_exits_2(tmp_path, capsys):
 
 def test_invalid_p_exits_2(fixture_dir, capsys):
     assert main(["solve", str(fixture_dir / "k_2_2.uhg"), "--p", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--restarts", "-1"]])
+def test_invalid_solver_flags_exit_2(fixture_dir, capsys, flags):
+    code, out = run_capture(capsys, ["solve", str(fixture_dir / "k_2_2.uhg"), "--p", "3", *flags])
+    assert code == 2 and out == ""
 
 
 def test_atomic_write_round_trips_hypergraph(fixture_dir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import grid_lambda, random_connected, star_lambda, star_weights
-from oracle import brute_force_lambda
+from oracle import brute_force_lambda, loose_path_lambda, path_lambda
 from uhs.constructions import (
     grid_g1,
     grid_g1_orbits,
@@ -346,3 +346,98 @@ def test_invalid_options_rejected():
         SolverOptions(tol=0.0)
     with pytest.raises(PreconditionError):
         SolverOptions(damping=1.5)
+    with pytest.raises(PreconditionError):
+        SolverOptions(max_iter=0)
+    with pytest.raises(PreconditionError):
+        SolverOptions(restarts=-1)
+
+
+def _path(n: int) -> UniformHypergraph:
+    return UniformHypergraph.from_edges(2, n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n: int) -> UniformHypergraph:
+    return UniformHypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _loose_path(n: int, r: int) -> UniformHypergraph:
+    """The n-vertex path with r - 2 fresh vertices added to every edge."""
+    fresh = n + (r - 2) * np.arange(n - 1)[:, None] + np.arange(r - 2)
+    edges = np.hstack([np.arange(n - 1)[:, None], np.arange(1, n)[:, None], fresh])
+    return UniformHypergraph.from_edges(r, n + (r - 2) * (n - 1), edges)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_odd_path_at_p_equals_r_converges(n):
+    # the undamped map 2-cycles here from the uniform start
+    res = solve_p_spectral(_path(n), 2.0)
+    assert res.converged and res.iterations <= 100
+    assert abs(res.lam - path_lambda(n)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "G, exact",
+    [pytest.param(_path(n), path_lambda(n), id=f"P{n}") for n in (3, 5, 7, 9, 21)]
+    + [
+        pytest.param(_cycle(2 * k), 2.0, id=f"C{2 * k}")  # 2-regular
+        for k in (2, 3, 5)
+    ]
+    + [
+        pytest.param(_loose_path(n, r), loose_path_lambda(n, r), id=f"loose{r}-P{n}")
+        for n, r in ((6, 3), (9, 3), (5, 4))
+    ],
+)
+def test_bracket_holds_closed_form_at_p_equals_r(G, exact):
+    res = solve_p_spectral(G, float(G.r))
+    assert res.converged
+    assert res.lam_lo <= exact * (1 + 1e-15) and exact <= res.lam_hi * (1 + 1e-15)
+    assert res.lam_hi - res.lam_lo <= 1e-7 * res.lam
+
+
+@pytest.mark.parametrize(
+    "G, p, exact",
+    [
+        pytest.param(star_g2(), 3.5, star_lambda(3.5), id="star-p3.5"),
+        pytest.param(grid_g1(), 6.0, grid_lambda(6.0), id="grid-p6"),
+        pytest.param(_path(5), 2.0, path_lambda(5), id="P5-p2"),
+    ],
+)
+def test_bracket_holds_before_convergence(G, p, exact):
+    for cap in range(1, 6):
+        res = solve_p_spectral(G, p, SolverOptions(max_iter=cap))
+        assert res.iterations == cap and not res.converged
+        assert res.lam_lo <= exact <= res.lam_hi
+
+
+@pytest.mark.parametrize("G", [star_g2(), grid_g1(), _path(5)], ids=["star", "grid", "P5"])
+def test_bracket_at_the_uniform_start(G):
+    # at x = n^(-1/p) (1, ..., 1): s_i / x_i^(p-1) = d_i n^((p-r)/p) and P = r m n^(-r/p);
+    # at p = r the upper end is the maximum degree (Collatz-Wielandt)
+    n, r, top = G.n, G.r, float(np.bincount(G.edges_array.ravel()).max())
+    for p in (float(r), r + 1.5):
+        res = solve_p_spectral(G, p, SolverOptions(max_iter=1))
+        P = r * G.m * n ** (-r / p)
+        assert res.lam_lo == pytest.approx(P, rel=1e-14)
+        assert res.lam_hi == pytest.approx(P + (r / p) * (top * n ** ((p - r) / p) - P), rel=1e-14)
+
+
+def test_bracket_missing_when_x_has_a_zero_entry():
+    # P3 plus an isolated vertex: its entry is 0 after one step, so no upper
+    # bound (and no 0/0 warning, which the test configuration makes an error)
+    G = UniformHypergraph.from_edges(2, 4, [(0, 1), (1, 2)])
+    res = solve_p_spectral(G, 2.0)
+    assert res.converged and res.x.values[3] == 0.0
+    assert res.lam_hi is None and res.lam_lo == res.lam
+
+
+def test_given_damping_is_kept():
+    # with damping = 1/2 the iterates are those of the fixed theta = 1/2 map
+    G, p, theta = _path(5), 2.0, 0.5
+    res = solve_p_spectral(G, p, SolverOptions(damping=theta))
+    assert res.converged
+    x = np.full(G.n, G.n ** (-1.0 / p))
+    for _ in range(res.iterations - 1):
+        s, _ = support_sums(x, G.edges_array, G.n)
+        y = ((1 - theta) * x ** (p - 1) + theta * s / polynomial_form(G, x)) ** (1 / (p - 1))
+        x = y / (y**p).sum() ** (1 / p)
+    assert np.allclose(res.x.values, x, rtol=1e-13, atol=0)
