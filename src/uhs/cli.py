@@ -184,6 +184,8 @@ def _cmd_certify_sub_r(args) -> int:
         "lambda": result.lam,
         "alpha": result.labeling.alpha,
         "exhaustive": result.exhaustive,
+        "tried": result.tried,
+        "pruned": result.pruned,
         "certificate": json.loads(result.labeling.to_json()),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)

@@ -10,6 +10,7 @@ weight system is solved, by one Newton helper with analytic Jacobians.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -86,10 +87,15 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class CertificateSearchResult:
+    """The certificate found, with the search counts: `tried` supports were
+    optimized and `pruned` were skipped by their bound on lambda."""
+
     S: tuple[int, ...]
     labeling: Labeling
     lam: float
     exhaustive: bool
+    tried: int
+    pruned: int
 
 
 def _norm_p(v: np.ndarray, p: float) -> float:
@@ -346,15 +352,64 @@ def solve_p_spectral(
             x = np.zeros(G.n)
             xs = eigenvector_from_labeling(induced_subhypergraph(G, cert.S)[0], cert.labeling)
             x[list(cert.S)] = xs.values
+            s, _ = support_sums(x, G.edges_array, G.n)
             result = replace(
                 result,
                 lam=cert.lam,
                 x=PVector(values=x, p=p),
+                residual=float(_residual(s, x, cert.lam, p)),
                 support=cert.S,
             )
         if abs(cert.lam - result.lam) <= 1e-6 * max(1.0, result.lam):
             result = replace(result, converged=True)
     return result
+
+
+def _clique_number(adj: list[int]) -> int:
+    """Size of a largest clique of the graph whose vertex v has neighbour bitmask adj[v]."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        if size + cand.bit_count() <= best:
+            return
+        if not cand:
+            best = size
+            return
+        v = cand.bit_length() - 1
+        grow(size + 1, cand & adj[v])  # cliques holding v
+        grow(size, cand & ~(1 << v))  # cliques without v
+
+    grow(0, (1 << len(adj)) - 1)
+    return best
+
+
+def _lambda_bound(H: UniformHypergraph, p: float) -> float:
+    """Upper bound on lambda^(p)(H) for p >= 1 and m >= 1 edges.
+
+    Step 1: (lambda^(p) / (r m))^p is non-increasing in p.  For q < p take
+    y optimal at p and put x = y^{p/q}, so ||x||_q = 1.  By the power mean
+    with exponent p/q >= 1 over the m edges,
+    lambda^(q) >= r sum_e (prod_e y)^{p/q} >= r m (lambda^(p) / (r m))^{p/q}.
+    With q = 1 this reads lambda^(p) <= (r m)^{1 - 1/p} * lambda^(1)^{1/p}.
+
+    Step 2 bounds lambda^(1).  For r = 2 it equals 1 - 1/omega
+    (Motzkin-Straus), omega the clique number.  For r >= 3, P grows with
+    the edge set, so lambda^(1)(H) <= lambda^(1)(K_n^(r)) = r C(n, r) / n^r,
+    attained at the uniform vector by Maclaurin's inequality.  Nikiforov's
+    edge-count bound (r! m)^{1 - 1/p} / (r - 1)! is the n -> infinity limit
+    of this form, so it adds nothing.
+    """
+    r, n = H.r, H.n
+    if r == 2:
+        adj = [0] * n
+        for a, b in H.edges_array.tolist():
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        lam1 = 1.0 - 1.0 / _clique_number(adj)
+    else:
+        lam1 = r * math.comb(n, r) / n**r
+    return (r * H.m) ** (1.0 - 1.0 / p) * lam1 ** (1.0 / p)
 
 
 def certificate_search_sub_r(
@@ -363,10 +418,17 @@ def certificate_search_sub_r(
     """Induced-subgraph certificate search for 1 <= p < r.
 
     Candidate supports are unions of edge subsets (any admissible support
-    must leave no isolated vertex in the induced sub-hypergraph).  Each
-    candidate is optimized from interior starts; only strictly positive
-    critical points are kept.  Ties in lambda break to the
-    lexicographically smallest vertex set.
+    must leave no isolated vertex in the induced sub-hypergraph), visited
+    in lexicographic order.  Each candidate is optimized from interior
+    starts; only strictly positive critical points are kept.  The first
+    support that beats the running best by more than tie_tol wins, so ties
+    in lambda go to the lexicographically smallest vertex set.  A support
+    whose bound `_lambda_bound` is at most best + tie_tol/2 is skipped
+    unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only by the
+    polish's norm error, at most lambda * (r/p) * 0.01 * tol, which is
+    below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it could
+    not have beaten the running best by tie_tol, and skipping it changes
+    neither S nor lambda.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -389,10 +451,15 @@ def certificate_search_sub_r(
         candidates = [heur.support] if heur.support else []
     best: tuple[tuple[int, ...], Labeling, float] | None = None
     tie_tol = 1e-9
+    tried = pruned = 0
     for S in candidates:
         sub, vmap = induced_subhypergraph(G, S)
         if sub.m == 0 or degrees(sub).delta == 0:
             continue
+        if best is not None and _lambda_bound(sub, p) <= best[2] + tie_tol / 2:
+            pruned += 1
+            continue
+        tried += 1
         rng = np.random.default_rng(opts.seed)
         res = _pga_best(sub, p, sub_opts, rng, max_iter=5000)
         x = res.x.values
@@ -401,13 +468,13 @@ def certificate_search_sub_r(
         lab = labeling_from_eigenvector(sub, res.x, res.lam)
         if best is None or res.lam > best[2] + tie_tol:
             best = (S, lab, res.lam)
-        elif abs(res.lam - best[2]) <= tie_tol and S < best[0]:
-            best = (S, lab, res.lam)
     if best is None:
         raise ConvergenceError(
             "no induced sub-hypergraph with a strictly positive critical point was found"
         )
-    return CertificateSearchResult(S=best[0], labeling=best[1], lam=best[2], exhaustive=exhaustive)
+    return CertificateSearchResult(
+        S=best[0], labeling=best[1], lam=best[2], exhaustive=exhaustive, tried=tried, pruned=pruned
+    )
 
 
 def solve_weight_system(

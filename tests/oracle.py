@@ -1,13 +1,16 @@
 """Reference values independent of the solver package.
 
-Closed forms at p = r for paths and loose paths, and a brute-force
-maximizer of P(x) = r * sum_e prod_{v in e} x_v over the nonnegative unit
-l^p sphere.  The maximizer works in the simplex of t_v = x_v^p: a coarse
-composition grid followed by pattern search that shifts mass h between
-coordinate pairs, halving h until it drops below 1e-4.
+Closed forms at p = r for paths and loose paths, the clique number (for
+the Motzkin-Straus value lambda^(1) = 1 - 1/omega of a graph), and a
+brute-force maximizer of P(x) = r * sum_e prod_{v in e} x_v over the
+nonnegative unit l^p sphere.  The maximizer works in the simplex of
+t_v = x_v^p: a coarse composition grid followed by pattern search that
+shifts mass h between coordinate pairs, halving h until it drops below
+1e-4.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +24,17 @@ def loose_path_lambda(n: int, r: int) -> float:
     """lambda^(r) of the loose r-uniform path made from the n-vertex path by
     adding r - 2 fresh vertices to every edge: (2 cos(pi/(n+1)))^(2/r)."""
     return path_lambda(n) ** (2.0 / r)
+
+
+def clique_number(n: int, edges) -> int:
+    """Largest k such that some k vertices are pairwise joined, by trying
+    every vertex subset from the largest size down."""
+    adjacent = {frozenset(e) for e in edges}
+    for k in range(n, 1, -1):
+        for vs in combinations(range(n), k):
+            if all(frozenset(pair) in adjacent for pair in combinations(vs, 2)):
+                return k
+    return 1
 
 
 def compositions(total: int, parts: int):

@@ -265,6 +265,8 @@ def test_certify_sub_r(fixture_dir, capsys):
     assert payload["S"] == [0, 1, 2]
     assert abs(payload["lambda"] - 2.0 / 3.0) <= 1e-9
     assert payload["exhaustive"] is True
+    # the second triangle's supports cannot beat 2/3, so the bound skips them
+    assert payload["tried"] >= 1 and payload["pruned"] > 0
 
 
 def test_missing_file_exits_2(capsys):

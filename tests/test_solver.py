@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import grid_lambda, random_connected, star_lambda, star_weights
-from oracle import brute_force_lambda, loose_path_lambda, path_lambda
+from helpers import enumerate_connected, grid_lambda, random_connected, star_lambda, star_weights
+from oracle import brute_force_lambda, clique_number, loose_path_lambda, path_lambda
 from uhs.constructions import (
     grid_g1,
     grid_g1_orbits,
@@ -11,11 +13,13 @@ from uhs.constructions import (
     star_g2_orbits,
     two_triangles_path,
 )
-from uhs.core import UniformHypergraph
+from uhs.core import UniformHypergraph, degrees, induced_subhypergraph
 from uhs.errors import PreconditionError
 from uhs.labeling import alpha_from_lambda, classify_labeling, eigenvector_from_labeling
 from uhs.solver import (
     SolverOptions,
+    _lambda_bound,
+    _pga_best,
     _polish_critical,
     _residual,
     certificate_search_sub_r,
@@ -222,6 +226,80 @@ def test_confirm_sub_r_flag():
     opts = SolverOptions(confirm_sub_r=True)
     res = solve_p_spectral(two_triangles_path(), 1.0, opts)
     assert res.converged and abs(res.lam - 2.0 / 3.0) <= 1e-9
+
+
+def test_confirm_sub_r_reports_the_residual_of_the_returned_x():
+    # the PGA stops below 2/3 here, so the search's x replaces the PGA's
+    rng = np.random.default_rng(5)
+    for _ in range(7):
+        G = random_connected(rng, 2, 9, 6)
+    res = solve_p_spectral(G, 1.0, SolverOptions(confirm_sub_r=True))
+    x = res.x.values
+    s, _ = support_sums(x, G.edges_array, G.n)
+    assert abs(res.lam - 2.0 / 3.0) <= 1e-12
+    assert res.residual == float(_residual(s, x, res.lam, 1.0))
+
+
+def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOptions):
+    """The exhaustive search with no bound: every support is optimized, and
+    ties within 1e-9 go to the lexicographically smaller support."""
+    unions = {frozenset()}
+    for e in G.edges_array.tolist():
+        unions |= {u | set(e) for u in unions}
+    sub_opts = replace(opts, restarts=min(opts.restarts, 8))
+    best = None
+    for S in sorted(tuple(sorted(u)) for u in unions if u):
+        sub, _ = induced_subhypergraph(G, S)
+        if sub.m == 0 or degrees(sub).delta == 0:
+            continue
+        res = _pga_best(sub, p, sub_opts, np.random.default_rng(opts.seed), max_iter=5000)
+        x = res.x.values
+        if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= 1e-7 * x.max():
+            continue
+        if best is None or res.lam > best[1] + 1e-9:
+            best = (S, res.lam)
+        elif abs(res.lam - best[1]) <= 1e-9 and S < best[0]:
+            best = (S, res.lam)
+    return best
+
+
+def _parity_instances():
+    rng = np.random.default_rng(17)
+    out = []
+    for i in range(20):
+        r = (2, 3)[i % 2]
+        n = int(rng.integers(r + 1, 7 if r == 2 else 8))  # graphs on 7 vertices take seconds
+        ps = (1.0, 1.5) if r == 2 else (1.0, 1.5, 2.0, 2.5)
+        out.append((random_connected(rng, r, n, int(rng.integers(0, 3))), ps[i // 2 % len(ps)]))
+    return out
+
+
+def test_certificate_search_matches_the_unpruned_search():
+    star = UniformHypergraph.from_edges(2, 3, [(0, 2), (1, 2)])
+    ties = [(two_triangles_path(), 1.0), (_cycle(4), 1.0), (_cycle(4), 1.5), (star, 1.0)]
+    opts = SolverOptions()
+    for G, p in ties + _parity_instances():
+        out = certificate_search_sub_r(G, p, opts)
+        assert (out.S, out.lam) == _plain_certificate_search(G, p, opts)
+    # the non-clique support ties the clique (0, 2) at 1/2 and comes first
+    assert certificate_search_sub_r(star, 1.0).S == (0, 1, 2)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_lambda_bound_dominates_brute_force(r):
+    for n in range(r, 5):
+        for G in enumerate_connected(n, r):
+            for p in (1.0, 1.5, 2.5):
+                assert _lambda_bound(G, p) >= brute_force_lambda(G, p) - 1e-9
+
+
+def test_certificate_search_p1_is_motzkin_straus():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        G = random_connected(rng, 2, n, int(rng.integers(0, n)))
+        omega = clique_number(G.n, G.edges_array.tolist())
+        assert abs(certificate_search_sub_r(G, 1.0).lam - (1.0 - 1.0 / omega)) <= 1e-9
 
 
 def test_weight_system_star():
