@@ -97,8 +97,16 @@ class UniformHypergraph:
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
-        """Canonicalize (sort within edges, sort edge list) and validate."""
-        a = np.sort(_edge_array(r, edges), axis=1)
+        """Canonicalize (sort within edges, sort edge list) and validate.
+
+        An array the constructor already accepts is taken as it is.
+        """
+        a = _edge_array(r, edges)
+        try:
+            return cls(r=r, n=n, edges=a)
+        except HypergraphFormatError:
+            pass  # not canonical, or invalid: sort, then report what remains
+        a = np.sort(a, axis=1)
         repeated = (np.diff(a, axis=1) == 0).any(axis=1)
         if repeated.any():
             raise HypergraphFormatError(f"edge {_first_row(a, repeated)} has a repeated vertex")

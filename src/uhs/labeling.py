@@ -12,6 +12,7 @@ condition is one scatter or one reduction over that array.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,9 @@ class Labeling:
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "w", w)
+        finite = np.isfinite(B).all() and np.isfinite(w).all()
+        if not (finite and math.isfinite(self.p) and math.isfinite(self.alpha)):
+            raise PreconditionError("labeling entries must be finite")
         if (B <= 0).any() or (w <= 0).any():
             raise PreconditionError("labeling entries must be positive")
         if self.p < 1:
@@ -77,17 +81,26 @@ class Labeling:
             "w": self.w.tolist(),
             "B": self.B.tolist(),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        # no indent: only then does json run its C encoder (same float reprs)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Labeling":
         data = json.loads(text)
-        return cls(
-            B=np.asarray(data["B"], dtype=float),
-            w=np.asarray(data["w"], dtype=float),
-            p=float(data["p"]),
-            alpha=float(data["alpha"]),
-        )
+        if not isinstance(data, dict):
+            raise PreconditionError("certificate is not a JSON object")
+        missing = sorted({"B", "w", "p", "alpha"} - data.keys())
+        if missing:
+            raise PreconditionError(f"certificate lacks {', '.join(missing)}")
+        try:
+            return cls(
+                B=np.asarray(data["B"], dtype=float),
+                w=np.asarray(data["w"], dtype=float),
+                p=float(data["p"]),
+                alpha=float(data["alpha"]),
+            )
+        except TypeError as exc:  # e.g. "p": null
+            raise PreconditionError(f"certificate entry is not a number: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class SpectralResult:
             "x": self.x.values.tolist(),
             "support": list(self.support),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from helpers import grid_lambda
+from helpers import grid_lambda, random_connected
 from uhs.cli import main
 from uhs.constructions import star_g2, two_triangles_path
 from uhs.core import load_hypergraph, serialize_hypergraph
+from uhs.solver import solve_p_spectral, solver_certificate
 
 
 @pytest.fixture()
@@ -94,7 +96,7 @@ def test_solve_output_bytes_stable(fixture_dir, tmp_path):
             main(["solve", str(fixture_dir / "star_g2.uhg"), "--p", "5", "-o", str(path)])
             == 0
         )
-    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == b.read_bytes() and b"\n" not in a.read_bytes()
 
 
 def test_solve_emit_cert_then_verify(fixture_dir, tmp_path, capsys):
@@ -131,6 +133,43 @@ def test_solve_emit_cert_then_verify_at_p_equals_r(fixture_dir, tmp_path, capsys
     assert code == 0
     verdict = json.loads(out)
     assert verdict["class"] == "normal" and verdict["consistent"] is True
+
+
+def test_emit_cert_round_trips_bit_for_bit(tmp_path, capsys):
+    G = random_connected(np.random.default_rng(8), 3, 60, extra=1970)
+    assert 1900 <= G.m <= 2100
+    graph, cert, out = tmp_path / "g.uhg", tmp_path / "cert.json", tmp_path / "out.json"
+    graph.write_text(serialize_hypergraph(G))
+    assert main(["solve", str(graph), "--p", "4", "--emit-cert", str(cert), "-o", str(out)]) == 0
+    text = cert.read_text()
+    payload = _strict_json(text)
+    assert "\n" not in text and list(payload) == ["B", "alpha", "p", "w"]
+    expect = solver_certificate(G, solve_p_spectral(G, 4.0))
+    assert np.array_equal(np.array(payload["B"]), expect.B)
+    assert np.array_equal(np.array(payload["w"]), expect.w)
+    assert payload["alpha"] == expect.alpha and payload["p"] == expect.p
+    code, out = run_capture(capsys, ["verify", str(graph), "--cert", str(cert)])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["class"] == "normal" and verdict["consistent"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"B": [[NaN, 1], [0.5, 1]], "w": [0.5, Infinity], "p": 3, "alpha": NaN}',
+        '{"p": 3.0, "w": [0.5, 0.5]}',
+        "[1, 2]",
+    ],
+    ids=["non-finite", "missing-key", "not-an-object"],
+)
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, text):
+    graph, cert = tmp_path / "p3.uhg", tmp_path / "c.json"
+    graph.write_text("2 3\n0 1\n1 2\n")
+    cert.write_text(text)
+    code = main(["verify", str(graph), "--cert", str(cert)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_verify_uses_the_given_p(fixture_dir, tmp_path, capsys):

@@ -71,6 +71,44 @@ def test_roundtrip_fixtures():
         assert parse_hypergraph(serialize_hypergraph(G)) == G
 
 
+def test_from_edges_keeps_canonical_input():
+    G = grid_g1()
+    a = G.edges_array.copy()
+    H = UniformHypergraph.from_edges(G.r, G.n, a)
+    assert np.array_equal(H.edges_array, G.edges_array) and H == G
+    # the caller's array is neither frozen nor shared
+    a[0, 0] = -1
+    assert a.flags.writeable and H.edges_array[0, 0] == G.edges_array[0, 0]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(1, 2, 3), (0, 1, 2)],  # rows out of order
+        [(2, 1, 0), (1, 3, 2)],  # entries out of order
+        [(0, 2, 1), (0, 1, 3)],  # rows out of order only after sorting entries
+    ],
+)
+def test_from_edges_canonicalizes(edges):
+    G = UniformHypergraph.from_edges(3, 4, edges)
+    assert G.edges == tuple(sorted(tuple(sorted(e)) for e in edges))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2), (2, 1, 0)],  # duplicate only after sorting entries
+        [(0, 1, 2), (1, 2, 3), (0, 1, 2)],  # duplicate only after sorting rows
+        [(0, 1, 1)],  # repeated vertex, entries in order
+        [(1, 0, 1), (0, 1, 2)],  # repeated vertex, entries out of order
+        [(0, 1, 4)],  # vertex out of range, otherwise canonical
+    ],
+)
+def test_from_edges_rejects_invalid(edges):
+    with pytest.raises(HypergraphFormatError):
+        UniformHypergraph.from_edges(3, 4, edges)
+
+
 def test_noncanonical_constructor_rejected():
     with pytest.raises(HypergraphFormatError):
         UniformHypergraph(r=2, n=3, edges=((1, 0),))
@@ -186,3 +224,11 @@ def test_induced_matches_reference(G, data):
     local = {v: i for i, v in enumerate(sorted(S))}
     expect = sorted(tuple(local[v] for v in e) for e in G.edges if S.issuperset(e))
     assert vmap == sorted(S) and sub.n == len(S) and sub.edges == tuple(expect)
+
+
+@given(hypergraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_from_edges_inverts_any_permutation(G, rnd):
+    rows = [rnd.sample(e, len(e)) for e in G.edges_array.tolist()]
+    rnd.shuffle(rows)
+    assert UniformHypergraph.from_edges(G.r, G.n, np.array(rows).reshape(-1, G.r)) == G

@@ -242,6 +242,48 @@ def test_json_roundtrip():
     assert np.array_equal(L2.B, L.B) and np.array_equal(L2.w, L.w)
 
 
+def test_json_is_one_sorted_line():
+    L = Labeling(B=np.full((2, 2), 0.5), w=np.full(2, 0.5), p=3.0, alpha=0.25)
+    text = L.to_json()
+    assert "\n" not in text
+    assert text.startswith('{"B": [[0.5, 0.5], [0.5, 0.5]], "alpha": 0.25, "p": 3.0, "w": ')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("B", [[math.nan, 1.0], [0.5, 1.0]]),
+        ("B", [[math.inf, 1.0], [0.5, 1.0]]),
+        ("w", [0.5, math.inf]),
+        ("p", math.inf),
+        ("p", math.nan),
+        ("alpha", math.nan),
+        ("alpha", math.inf),
+    ],
+)
+def test_non_finite_labeling_rejected(field, value):
+    entries = dict(B=np.full((2, 2), 0.5), w=np.full(2, 0.5), p=3.0, alpha=0.25)
+    entries[field] = value
+    with pytest.raises(PreconditionError, match="finite"):
+        Labeling(**entries)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '"B"',
+        '{"p": 3.0, "w": [0.5, 0.5]}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": null, "alpha": 0.25}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": 3.0, "alpha": [0.25]}',
+        '{"B": [[NaN, 0.5]], "w": [1.0], "p": 3.0, "alpha": 0.25}',
+    ],
+)
+def test_from_json_rejects_malformed(text):
+    with pytest.raises(PreconditionError):
+        Labeling.from_json(text)
+
+
 def test_verdict_json_exposes_class():
     import json
 
