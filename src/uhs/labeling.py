@@ -117,7 +117,7 @@ class LabelingVerdict:
             "tol": self.tol,
             "residuals": {k: v for k, v in self.residuals.items()},
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def lambda_from_alpha(alpha: float, r: int, p: float) -> float:
@@ -188,6 +188,11 @@ def _summary(res: dict) -> dict:
     }
 
 
+def _check_tol(tol: float) -> None:
+    if not (0 < tol < math.inf):  # also rejects nan
+        raise PreconditionError(f"tol must be positive and finite (got {tol})")
+
+
 def classify_labeling(
     G: UniformHypergraph, L: Labeling, tol: float = DEFAULT_TOL
 ) -> LabelingVerdict:
@@ -200,6 +205,7 @@ def classify_labeling(
             f"classify_labeling requires p >= r (got p={L.p}, r={G.r}); "
             "use classify_labeling_sub_r for 1 <= p < r"
         )
+    _check_tol(tol)
     res = condition_residuals(G, L.B, L.w, L.p, L.alpha)
     ws, rows, edges = res["weight_sum"], res["rows"], res["edges"]
     consistent = bool((res["consistency_spread"] <= tol).all())
@@ -239,6 +245,7 @@ def classify_labeling_sub_r(
     """
     if p >= G.r:
         raise PreconditionError(f"classify_labeling_sub_r requires p < r (got p={p}, r={G.r})")
+    _check_tol(tol)
     B = np.asarray(B, dtype=float)
     if B.shape != (G.m, G.r):
         raise PreconditionError(f"B support mismatch: expected {G.m}x{G.r}")

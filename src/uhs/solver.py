@@ -40,8 +40,8 @@ class SolverOptions:
     confirm_sub_r: bool = False
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise PreconditionError("tol must be positive")
+        if not (0 < self.tol < math.inf):  # also rejects nan
+            raise PreconditionError("tol must be positive and finite")
         if not (0 < self.damping <= 1):
             raise PreconditionError("damping must lie in (0, 1]")
         if self.max_iter < 1:
@@ -181,63 +181,109 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
 
 def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.ndarray:
     """The all-ones vector, one indicator row per edge, then random restarts."""
-    n = G.n
-    indicators = np.zeros((G.m, n))
-    indicators[np.arange(G.m)[:, None], G.edges_array] = 1.0
-    X = np.vstack([np.ones((1, n)), indicators, rng.gamma(1.0, size=(opts.restarts, n))])
+    n, m = G.n, G.m
+    X = np.zeros((1 + m + opts.restarts, n))
+    X[0] = 1.0
+    X[1 + np.arange(m)[:, None], G.edges_array] = 1.0
+    X[1 + m :] = rng.gamma(1.0, size=(opts.restarts, n))
     X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
     return X
+
+
+_PGA_BLOCK = 64  # starts evaluated per kernel call before the ascent
+
+
+def _sum_left_to_right(prods: np.ndarray) -> np.ndarray:
+    """Row sums of a (k, m) batch of edge products, added in edge order.
+
+    A batch of two or more rows comes out of the kernel with its edge axis
+    strided, and numpy adds such rows in order; a one-row batch is
+    contiguous and would get the pairwise sum, which can differ in the
+    last bit.  So a row's P does not depend on how many rows are live.
+    """
+    return np.cumsum(prods, axis=1)[:, -1]
 
 
 def _pga_best(
     G: UniformHypergraph, p: float, opts: SolverOptions, rng, max_iter: int = 20000
 ) -> SpectralResult:
-    """Batched projected-gradient ascent of P_G on the nonnegative l^p sphere."""
+    """Batched projected-gradient ascent of P_G on the nonnegative l^p sphere.
+
+    Every start is evaluated once, _PGA_BLOCK rows per kernel call; the
+    batch that steps holds only the live rows.  A row is done once its
+    residual is at most tol or its step size underflows, and it leaves the
+    batch for good: its x, P and residual go back to the per-start arrays
+    that the final argmax reads.  The edge indicators are exact critical
+    points, so they never enter the batch, and a step costs (live rows) x
+    m x r, not (1 + m + restarts) x m x r.  The ascent stops when no row
+    is live, when no row gained 1e-14 over a 100-step window, or at the cap.
+    """
     n, r = G.n, G.r
     edges = G.edges_array
-    X = _pga_starts(G, p, opts, rng)
-    k = X.shape[0]
-    eta = np.full(k, 0.25)
-    S, prods = batch_support_sums(X, edges, n)
-    P = r * prods.sum(axis=1)
+    X_all = _pga_starts(G, p, opts, rng)
+    k = X_all.shape[0]
+    P_all = np.empty(k)
+    res_all = np.empty(k)
+    live, S_live = [], []
+    for lo in range(0, k, _PGA_BLOCK):
+        rows = slice(lo, lo + _PGA_BLOCK)
+        Sb, prods = batch_support_sums(X_all[rows], edges, n)
+        P_all[rows] = r * _sum_left_to_right(prods)
+        res_all[rows] = _residual(Sb, X_all[rows], P_all[rows, None], p)
+        keep = ~(res_all[rows] <= opts.tol)
+        live.append(lo + np.flatnonzero(keep))
+        S_live.append(Sb[keep])
+    ids = np.concatenate(live)
+    X, S, P = X_all[ids], np.concatenate(S_live), P_all[ids]
+    eta = np.full(ids.size, 0.25)
     it = 0
     cap = min(opts.max_iter, max_iter)
     window = 100
     P_window = P.copy()
+    # a row that finished inside the current window still counts in its stall test
+    gain = -np.inf
     for it in range(1, cap + 1):
-        res = _residual(S, X, P[:, None], p)
+        xq = np.power(X, p - 1.0)
+        res = np.where(X > 0, np.abs(S - P[:, None] * xq), 0.0).max(axis=1)
         done = (res <= opts.tol) | (eta <= 1e-15)
-        if done.all():
+        if done.any():
+            gone = ids[done]
+            X_all[gone], P_all[gone], res_all[gone] = X[done], P[done], res[done]
+            gain = max(gain, float((P[done] - P_window[done]).max()))
+            keep = ~done
+            ids, X, S, P, eta, P_window, xq = (
+                a[keep] for a in (ids, X, S, P, eta, P_window, xq)
+            )
+        if not ids.size:
             break
         if it % window == 0:
             # critical values stalled across the window: nothing left to gain
-            if (P - P_window).max() < 1e-14:
+            if max(gain, float((P - P_window).max())) < 1e-14:
                 break
             P_window = P.copy()
+            gain = -np.inf
         # ascent direction tangent to the l^p sphere (raw gradient plus
         # renormalization is not an ascent direction for P on the sphere)
         grad = r * S
-        normal = np.power(X, p - 1.0)
-        coef = (grad * normal).sum(axis=1) / np.maximum((normal * normal).sum(axis=1), 1e-300)
-        grad = grad - coef[:, None] * normal
+        coef = (grad * xq).sum(axis=1) / np.maximum((xq * xq).sum(axis=1), 1e-300)
+        grad = grad - coef[:, None] * xq
         Y = np.clip(X + eta[:, None] * grad, 0.0, None)
         nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
         ok = nrm > 0
         Y[ok] /= nrm[ok, None]
         SY, prods = batch_support_sums(Y, edges, n)
-        Pn = r * prods.sum(axis=1)
-        accept = ok & (Pn >= P - 1e-15) & ~done
+        Pn = r * _sum_left_to_right(prods)
+        accept = ok & (Pn >= P - 1e-15)
         X[accept] = Y[accept]
         S[accept] = SY[accept]
         P[accept] = Pn[accept]
         eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
-        shrink = ~accept & ~done
-        eta[shrink] *= 0.5
-    res = _residual(S, X, P[:, None], p)
-    best = int(np.argmax(P))
-    x = X[best].copy()
-    lam = float(P[best])
-    residual = float(res[best])
+        eta[~accept] *= 0.5
+    X_all[ids], P_all[ids], res_all[ids] = X, P, _residual(S, X, P[:, None], p)
+    best = int(np.argmax(P_all))
+    x = X_all[best].copy()
+    lam = float(P_all[best])
+    residual = float(res_all[best])
     support = np.flatnonzero(x > 1e-9)
     if residual > opts.tol:
         polished = _polish_critical(G, x, lam, p, support, opts.tol)

@@ -323,9 +323,34 @@ def test_invalid_p_exits_2(fixture_dir, capsys):
     assert main(["solve", str(fixture_dir / "k_2_2.uhg"), "--p", "0.5"]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--restarts", "-1"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-iter", "0"], ["--restarts", "-1"], ["--tol", "nan"], ["--tol", "inf"]],
+)
 def test_invalid_solver_flags_exit_2(fixture_dir, capsys, flags):
     code, out = run_capture(capsys, ["solve", str(fixture_dir / "k_2_2.uhg"), "--p", "3", *flags])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--grid", "3,4"], ["certify-sub-r", "--p", "1.5"]],
+)
+def test_non_finite_tol_exits_2(fixture_dir, capsys, argv, tol):
+    graph = str(fixture_dir / "two_triangles_path.uhg")
+    code, out = run_capture(capsys, [argv[0], graph, *argv[1:], "--tol", tol])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_rejects_a_tol_that_is_not_finite_and_positive(fixture_dir, tmp_path, capsys, tol):
+    grid = str(fixture_dir / "grid_g1.uhg")
+    cert = tmp_path / "cert.json"
+    argv = ["solve", grid, "--p", "3", "--emit-cert", str(cert), "-o", str(tmp_path / "out.json")]
+    main(argv)
+    assert cert.exists()
+    code, out = run_capture(capsys, ["verify", grid, "--cert", str(cert), "--tol", tol])
     assert code == 2 and out == ""
 
 

@@ -19,6 +19,7 @@ from uhs.core import UniformHypergraph, degrees
 from uhs.errors import PreconditionError
 from uhs.labeling import (
     Labeling,
+    LabelingVerdict,
     PVector,
     alpha_from_lambda,
     classify_labeling,
@@ -160,6 +161,21 @@ def test_sub_r_rejects_large_p():
     G = k_r_r(2)
     with pytest.raises(PreconditionError):
         classify_labeling_sub_r(G, np.full((1, 2), 0.5), 0.1, 2.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_classify_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    L = Labeling(B=np.ones((1, 3)), w=np.ones(1), p=5.0, alpha=1.0)
+    with pytest.raises(PreconditionError):
+        classify_labeling(k_r_r(3), L, tol=tol)
+    with pytest.raises(PreconditionError):
+        classify_labeling_sub_r(k_r_r(3), np.full((1, 3), 1.0), 1.0, 1.0, tol=tol)
+
+
+def test_verdict_json_rejects_non_finite_numbers():
+    verdict = LabelingVerdict("none", False, {"row_max": math.inf}, 1e-8)
+    with pytest.raises(ValueError):
+        verdict.to_json()
 
 
 def test_labeling_roundtrip_eigenvector():

@@ -1,0 +1,182 @@
+"""The p < r ascent steps only its live rows.
+
+`_reference_pga_best` is the whole-batch loop that `_pga_best` replaced:
+every start, done or not, runs through the kernel on every step.  The live-row
+loop must reproduce it bit for bit.
+"""
+
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from helpers import random_connected
+from uhs._kernels import support_sums
+from uhs.core import UniformHypergraph
+from uhs.labeling import PVector
+from uhs.solver import SolverOptions, SpectralResult, _pga_best, _polish_critical, _residual
+
+
+def _reference_pga_best(G, p, opts, rng, max_iter=20000):
+    n, r = G.n, G.r
+    edges = G.edges_array
+    indicators = np.zeros((G.m, n))
+    indicators[np.arange(G.m)[:, None], edges] = 1.0
+    X = np.vstack([np.ones((1, n)), indicators, rng.gamma(1.0, size=(opts.restarts, n))])
+    X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
+    k = X.shape[0]
+    eta = np.full(k, 0.25)
+    S, prods = support_sums(X, edges, n)
+    P = r * prods.sum(axis=1)
+    it = 0
+    cap = min(opts.max_iter, max_iter)
+    window = 100
+    P_window = P.copy()
+    for it in range(1, cap + 1):
+        res = _residual(S, X, P[:, None], p)
+        done = (res <= opts.tol) | (eta <= 1e-15)
+        if done.all():
+            break
+        if it % window == 0:
+            if (P - P_window).max() < 1e-14:
+                break
+            P_window = P.copy()
+        grad = r * S
+        normal = np.power(X, p - 1.0)
+        coef = (grad * normal).sum(axis=1) / np.maximum((normal * normal).sum(axis=1), 1e-300)
+        grad = grad - coef[:, None] * normal
+        Y = np.clip(X + eta[:, None] * grad, 0.0, None)
+        nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
+        ok = nrm > 0
+        Y[ok] /= nrm[ok, None]
+        SY, prods = support_sums(Y, edges, n)
+        Pn = r * prods.sum(axis=1)
+        accept = ok & (Pn >= P - 1e-15) & ~done
+        X[accept] = Y[accept]
+        S[accept] = SY[accept]
+        P[accept] = Pn[accept]
+        eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
+        shrink = ~accept & ~done
+        eta[shrink] *= 0.5
+    res = _residual(S, X, P[:, None], p)
+    best = int(np.argmax(P))
+    x = X[best].copy()
+    lam = float(P[best])
+    residual = float(res[best])
+    support = np.flatnonzero(x > 1e-9)
+    if residual > opts.tol:
+        polished = _polish_critical(G, x, lam, p, support, opts.tol)
+        if polished is not None:
+            x, lam, residual = polished
+    return SpectralResult(
+        lam=lam,
+        x=PVector(values=x, p=p),
+        residual=residual,
+        iterations=it,
+        converged=bool(residual <= opts.tol),
+        support=tuple(np.flatnonzero(x > 1e-12).tolist()),
+    )
+
+
+def _assert_same(G, p, opts, max_iter=20000):
+    got = _pga_best(G, p, opts, np.random.default_rng(opts.seed), max_iter)
+    ref = _reference_pga_best(G, p, opts, np.random.default_rng(opts.seed), max_iter)
+    assert got.lam == ref.lam
+    assert np.array_equal(got.x.values, ref.x.values)
+    assert got.residual == ref.residual
+    assert got.iterations == ref.iterations
+    assert got.support == ref.support
+    assert got.converged == ref.converged
+    return got
+
+
+def _random_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(20):
+        r = (2, 3, 4)[i % 3]
+        n = int(rng.integers(r + 2, 14))
+        G = random_connected(rng, r, n, extra=int(rng.integers(1, 3 * n)))
+        p = float(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0][: {2: 2, 3: 4, 4: 5}[r]]))
+        restarts = (0, 8, 32)[i % 3 if r != 2 else (i + 1) % 3]
+        cases.append(pytest.param(G, p, restarts, id=f"r{r}-n{n}-m{G.m}-p{p:g}-k{restarts}"))
+    return cases
+
+
+@pytest.mark.parametrize("G, p, restarts", _random_cases())
+def test_live_rows_match_the_whole_batch(G, p, restarts):
+    _assert_same(G, p, SolverOptions(restarts=restarts), max_iter=2000)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 150])
+def test_live_rows_match_at_the_iteration_cap(max_iter):
+    G = random_connected(np.random.default_rng(5), 3, 12, extra=20)
+    res = _assert_same(G, 2.0, SolverOptions(restarts=8), max_iter=max_iter)
+    assert res.iterations == max_iter  # the cap hit with rows still live
+
+
+def test_live_rows_match_when_every_start_is_done():
+    # both starts of a single edge are its critical point: no row ever steps
+    edge = UniformHypergraph.from_edges(3, 3, [(0, 1, 2)])
+    assert _assert_same(edge, 2.0, SolverOptions(restarts=0)).iterations == 1
+    # every row of K5^(3) finishes before the first stall window
+    K5 = UniformHypergraph.from_edges(3, 5, list(combinations(range(5), 3)))
+    assert _assert_same(K5, 2.0, SolverOptions()).iterations < 100
+
+
+def test_live_rows_match_with_one_row_left():
+    # one row stays live for its last steps; with m >= 8 edges a one-row
+    # batch must still add its edge products in the order a wide batch does
+    G = UniformHypergraph.from_edges(
+        3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 3, 4)]
+    )
+    _assert_same(G, 1.0, SolverOptions(restarts=6), max_iter=5000)
+
+
+def test_live_rows_match_when_a_retired_row_gained_in_the_window():
+    # at iteration 200 every live row has stalled, but a row that finished
+    # since iteration 100 gained 2.5e-14: the whole batch did not stall
+    G = UniformHypergraph.from_edges(4, 8, [(0, 1, 5, 7), (0, 2, 5, 7), (0, 4, 5, 7), (1, 2, 3, 6)])
+    assert _assert_same(G, 3.1039154370841526, SolverOptions(restarts=6, seed=12)).iterations > 200
+
+
+def test_live_rows_match_on_a_medium_instance():
+    G = random_connected(np.random.default_rng(11), 3, 40, extra=60)
+    _assert_same(G, 2.5, SolverOptions())
+
+
+def _random_instance(r: int, n: int, m: int, seed: int) -> UniformHypergraph:
+    rng = np.random.default_rng(seed)
+    edges = {tuple(range(i, i + r)) for i in range(0, n - r + 1, r - 1)}  # a covering chain
+    edges.add(tuple(range(n - r, n)))
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.choice(n, r, replace=False).tolist())))
+    return UniformHypergraph.from_edges(r, n, sorted(edges))
+
+
+def _traced_peak_mib(fn):
+    """fn's result and the tracemalloc peak during the call, in MiB."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def test_twenty_steps_at_m_2000_stay_under_64_mib():
+    # a step over all 2033 starts would hold 2033 x 2000 x 3 floats per array (93 MiB)
+    G = _random_instance(3, 200, 2000, seed=1)
+    opts = SolverOptions(max_iter=20)
+    _, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, opts, np.random.default_rng(0)))
+    assert peak <= 64.0
+
+
+@pytest.mark.slow
+def test_large_sub_r_instance_converges_in_bounded_memory():
+    G = _random_instance(3, 500, 10_000, seed=1)
+    res, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, SolverOptions(), np.random.default_rng(0)))
+    assert res.converged
+    assert peak <= 512.0

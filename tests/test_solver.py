@@ -420,8 +420,9 @@ def test_oracle_spot_check():
 
 
 def test_invalid_options_rejected():
-    with pytest.raises(PreconditionError):
-        SolverOptions(tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError):
+            SolverOptions(tol=tol)
     with pytest.raises(PreconditionError):
         SolverOptions(damping=1.5)
     with pytest.raises(PreconditionError):
