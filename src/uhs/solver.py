@@ -180,28 +180,17 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
 
 
 def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.ndarray:
-    """The all-ones vector, one indicator row per edge, then random restarts."""
-    n, m = G.n, G.m
-    X = np.zeros((1 + m + opts.restarts, n))
+    """The all-ones vector, the first edge's indicator, then random restarts.
+
+    All m edge indicators are critical points with the same P and residual,
+    bit for bit, so the first stands for all: argmax breaks ties toward it.
+    """
+    X = np.zeros((2 + opts.restarts, G.n))
     X[0] = 1.0
-    X[1 + np.arange(m)[:, None], G.edges_array] = 1.0
-    X[1 + m :] = rng.gamma(1.0, size=(opts.restarts, n))
+    X[1, G.edges_array[0]] = 1.0
+    X[2:] = rng.gamma(1.0, size=(opts.restarts, G.n))
     X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
     return X
-
-
-_PGA_BLOCK = 64  # starts evaluated per kernel call before the ascent
-
-
-def _sum_left_to_right(prods: np.ndarray) -> np.ndarray:
-    """Row sums of a (k, m) batch of edge products, added in edge order.
-
-    A batch of two or more rows comes out of the kernel with its edge axis
-    strided, and numpy adds such rows in order; a one-row batch is
-    contiguous and would get the pairwise sum, which can differ in the
-    last bit.  So a row's P does not depend on how many rows are live.
-    """
-    return np.cumsum(prods, axis=1)[:, -1]
 
 
 def _pga_best(
@@ -209,59 +198,32 @@ def _pga_best(
 ) -> SpectralResult:
     """Batched projected-gradient ascent of P_G on the nonnegative l^p sphere.
 
-    Every start is evaluated once, _PGA_BLOCK rows per kernel call; the
-    batch that steps holds only the live rows.  A row is done once its
-    residual is at most tol or its step size underflows, and it leaves the
-    batch for good: its x, P and residual go back to the per-start arrays
-    that the final argmax reads.  The edge indicators are exact critical
-    points, so they never enter the batch, and a step costs (live rows) x
-    m x r, not (1 + m + restarts) x m x r.  The ascent stops when no row
-    is live, when no row gained 1e-14 over a 100-step window, or at the cap.
+    All 2 + restarts starts step together.  A row is done once its residual
+    is at most tol or its step size underflows; a done row no longer moves.
+    The ascent stops when every row is done, when no row gained 1e-14 over
+    a 100-step window, or at the cap; the row with the largest P wins.
     """
     n, r = G.n, G.r
     edges = G.edges_array
-    X_all = _pga_starts(G, p, opts, rng)
-    k = X_all.shape[0]
-    P_all = np.empty(k)
-    res_all = np.empty(k)
-    live, S_live = [], []
-    for lo in range(0, k, _PGA_BLOCK):
-        rows = slice(lo, lo + _PGA_BLOCK)
-        Sb, prods = batch_support_sums(X_all[rows], edges, n)
-        P_all[rows] = r * _sum_left_to_right(prods)
-        res_all[rows] = _residual(Sb, X_all[rows], P_all[rows, None], p)
-        keep = ~(res_all[rows] <= opts.tol)
-        live.append(lo + np.flatnonzero(keep))
-        S_live.append(Sb[keep])
-    ids = np.concatenate(live)
-    X, S, P = X_all[ids], np.concatenate(S_live), P_all[ids]
-    eta = np.full(ids.size, 0.25)
+    X = _pga_starts(G, p, opts, rng)
+    eta = np.full(X.shape[0], 0.25)
+    S, prods = batch_support_sums(X, edges, n)
+    P = r * prods.sum(axis=1)
     it = 0
     cap = min(opts.max_iter, max_iter)
     window = 100
     P_window = P.copy()
-    # a row that finished inside the current window still counts in its stall test
-    gain = -np.inf
     for it in range(1, cap + 1):
         xq = np.power(X, p - 1.0)
         res = np.where(X > 0, np.abs(S - P[:, None] * xq), 0.0).max(axis=1)
         done = (res <= opts.tol) | (eta <= 1e-15)
-        if done.any():
-            gone = ids[done]
-            X_all[gone], P_all[gone], res_all[gone] = X[done], P[done], res[done]
-            gain = max(gain, float((P[done] - P_window[done]).max()))
-            keep = ~done
-            ids, X, S, P, eta, P_window, xq = (
-                a[keep] for a in (ids, X, S, P, eta, P_window, xq)
-            )
-        if not ids.size:
+        if done.all():
             break
         if it % window == 0:
             # critical values stalled across the window: nothing left to gain
-            if max(gain, float((P - P_window).max())) < 1e-14:
+            if (P - P_window).max() < 1e-14:
                 break
             P_window = P.copy()
-            gain = -np.inf
         # ascent direction tangent to the l^p sphere (raw gradient plus
         # renormalization is not an ascent direction for P on the sphere)
         grad = r * S
@@ -272,18 +234,17 @@ def _pga_best(
         ok = nrm > 0
         Y[ok] /= nrm[ok, None]
         SY, prods = batch_support_sums(Y, edges, n)
-        Pn = r * _sum_left_to_right(prods)
-        accept = ok & (Pn >= P - 1e-15)
+        Pn = r * prods.sum(axis=1)
+        accept = ok & (Pn >= P - 1e-15) & ~done
         X[accept] = Y[accept]
         S[accept] = SY[accept]
         P[accept] = Pn[accept]
         eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
         eta[~accept] *= 0.5
-    X_all[ids], P_all[ids], res_all[ids] = X, P, _residual(S, X, P[:, None], p)
-    best = int(np.argmax(P_all))
-    x = X_all[best].copy()
-    lam = float(P_all[best])
-    residual = float(res_all[best])
+    best = int(np.argmax(P))
+    x = X[best].copy()
+    lam = float(P[best])
+    residual = float(_residual(S, X, P[:, None], p)[best])
     support = np.flatnonzero(x > 1e-9)
     if residual > opts.tol:
         polished = _polish_critical(G, x, lam, p, support, opts.tol)
@@ -465,16 +426,17 @@ def certificate_search_sub_r(
 
     Candidate supports are unions of edge subsets (any admissible support
     must leave no isolated vertex in the induced sub-hypergraph), visited
-    in lexicographic order.  Each candidate is optimized from interior
-    starts; only strictly positive critical points are kept.  The first
-    support that beats the running best by more than tie_tol wins, so ties
-    in lambda go to the lexicographically smallest vertex set.  A support
-    whose bound `_lambda_bound` is at most best + tie_tol/2 is skipped
-    unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only by the
-    polish's norm error, at most lambda * (r/p) * 0.01 * tol, which is
-    below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it could
-    not have beaten the running best by tie_tol, and skipping it changes
-    neither S nor lambda.
+    in lexicographic order.  Each candidate is optimized by `_pga_best`,
+    whose starts include an edge indicator, a boundary point; only strictly
+    positive critical points are kept.  The first support that beats the
+    running best by more than tie_tol wins, so ties in lambda go to the
+    lexicographically smallest vertex set.  A support whose bound
+    `_lambda_bound` is at most best + tie_tol/2 is skipped unoptimized.  Its
+    PGA or polish value exceeds lambda(G[S]) only by the polish's norm
+    error, at most lambda * (r/p) * 0.01 * tol, which is below tie_tol/2
+    while lambda * r/p < 500 at the default tol.  So it could not have
+    beaten the running best by tie_tol, and skipping it changes neither S
+    nor lambda.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -604,5 +566,10 @@ def compose_components_max(lams: Sequence[float]) -> float:
 
 
 def solver_certificate(G: UniformHypergraph, result: SpectralResult) -> Labeling:
-    """Labeling induced by a converged solver eigenpair."""
+    """Labeling induced by a converged solver eigenpair; x must be positive on every edge."""
+    if not (result.x.values[G.edges_array] > 0).all():
+        raise PreconditionError(
+            f"x vanishes on an edge: its support S = {list(result.support)} is proper, so "
+            "G[S], not G, has the certificate; `uhs certify-sub-r` certifies G[S]"
+        )
     return labeling_from_eigenvector(G, result.x, result.lam)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from helpers import grid_lambda, random_connected
 from uhs.cli import main
 from uhs.constructions import star_g2, two_triangles_path
-from uhs.core import load_hypergraph, serialize_hypergraph
+from uhs.core import UniformHypergraph, load_hypergraph, serialize_hypergraph
 from uhs.solver import solve_p_spectral, solver_certificate
 
 
@@ -152,6 +153,25 @@ def test_emit_cert_round_trips_bit_for_bit(tmp_path, capsys):
     assert code == 0
     verdict = json.loads(out)
     assert verdict["class"] == "normal" and verdict["consistent"] is True
+
+
+def test_solve_emit_cert_on_a_proper_support_exits_2(fixture_dir, tmp_path, capsys):
+    # at p = 1.5 the star's maximizer lives on S = {0, 1, 2, 3}: G[S], not G, has a certificate
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    argv = ["solve", str(fixture_dir / "star_g2.uhg"), "--p", "1.5", "--emit-cert", str(cert)]
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "S = [0, 1, 2, 3]" in err and "uhs certify-sub-r" in err
+    assert not cert.exists() and not out.exists()
+
+
+def test_solve_emit_cert_below_r_on_full_support(tmp_path, capsys):
+    graph, cert, out = tmp_path / "k5.uhg", tmp_path / "cert.json", tmp_path / "out.json"
+    graph.write_text(serialize_hypergraph(UniformHypergraph.from_edges(3, 5, combinations(range(5), 3))))
+    assert main(["solve", str(graph), "--p", "2", "--emit-cert", str(cert), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["support"] == [0, 1, 2, 3, 4]
+    code, text = run_capture(capsys, ["verify", str(graph), "--cert", str(cert)])
+    assert code == 0 and json.loads(text)["class"] == "subnormal"
 
 
 @pytest.mark.parametrize(

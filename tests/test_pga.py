@@ -1,8 +1,10 @@
-"""The p < r ascent steps only its live rows.
+"""The p < r ascent needs one edge-indicator start, not one per edge.
 
-`_reference_pga_best` is the whole-batch loop that `_pga_best` replaced:
-every start, done or not, runs through the kernel on every step.  The live-row
-loop must reproduce it bit for bit.
+`_reference_pga_best` is the whole-batch loop over all 1 + m + restarts
+starts: the all-ones vector, the indicator of every edge and the random
+restarts.  `_pga_best` keeps only the first edge's indicator, since every
+indicator has the same P and residual bit for bit and argmax breaks their
+tie toward the first.  It must reproduce the reference bit for bit.
 """
 
 import tracemalloc
@@ -15,7 +17,14 @@ from helpers import random_connected
 from uhs._kernels import support_sums
 from uhs.core import UniformHypergraph
 from uhs.labeling import PVector
-from uhs.solver import SolverOptions, SpectralResult, _pga_best, _polish_critical, _residual
+from uhs.solver import (
+    SolverOptions,
+    SpectralResult,
+    _pga_best,
+    _pga_starts,
+    _polish_critical,
+    _residual,
+)
 
 
 def _reference_pga_best(G, p, opts, rng, max_iter=20000):
@@ -117,7 +126,7 @@ def test_live_rows_match_at_the_iteration_cap(max_iter):
 
 
 def test_live_rows_match_when_every_start_is_done():
-    # both starts of a single edge are its critical point: no row ever steps
+    # the all-ones start of a single edge is its indicator: no row ever steps
     edge = UniformHypergraph.from_edges(3, 3, [(0, 1, 2)])
     assert _assert_same(edge, 2.0, SolverOptions(restarts=0)).iterations == 1
     # every row of K5^(3) finishes before the first stall window
@@ -126,8 +135,8 @@ def test_live_rows_match_when_every_start_is_done():
 
 
 def test_live_rows_match_with_one_row_left():
-    # one row stays live for its last steps; with m >= 8 edges a one-row
-    # batch must still add its edge products in the order a wide batch does
+    # one row keeps stepping after the others are done; with m >= 8 edges its
+    # P must still be added in the order the reference's wide batch uses
     G = UniformHypergraph.from_edges(
         3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 3, 4)]
     )
@@ -135,8 +144,8 @@ def test_live_rows_match_with_one_row_left():
 
 
 def test_live_rows_match_when_a_retired_row_gained_in_the_window():
-    # at iteration 200 every live row has stalled, but a row that finished
-    # since iteration 100 gained 2.5e-14: the whole batch did not stall
+    # at iteration 200 every row still stepping has stalled, but a row that
+    # finished since iteration 100 gained 2.5e-14: the whole batch did not stall
     G = UniformHypergraph.from_edges(4, 8, [(0, 1, 5, 7), (0, 2, 5, 7), (0, 4, 5, 7), (1, 2, 3, 6)])
     assert _assert_same(G, 3.1039154370841526, SolverOptions(restarts=6, seed=12)).iterations > 200
 
@@ -144,6 +153,16 @@ def test_live_rows_match_when_a_retired_row_gained_in_the_window():
 def test_live_rows_match_on_a_medium_instance():
     G = random_connected(np.random.default_rng(11), 3, 40, extra=60)
     _assert_same(G, 2.5, SolverOptions())
+
+
+def test_every_edge_ties_and_the_first_edge_wins():
+    # on C5 at p = 1 each edge's indicator reaches lambda^(1) = 1/2 and the
+    # all-ones start only 0.4; the reference's tie among all m indicators
+    # goes to edge (0, 1), the one indicator _pga_best keeps
+    C5 = UniformHypergraph.from_edges(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    res = _assert_same(C5, 1.0, SolverOptions())
+    assert res.lam == 0.5 and res.support == (0, 1)
+    assert np.array_equal(res.x.values, [0.5, 0.5, 0.0, 0.0, 0.0])
 
 
 def _random_instance(r: int, n: int, m: int, seed: int) -> UniformHypergraph:
@@ -172,6 +191,17 @@ def test_twenty_steps_at_m_2000_stay_under_64_mib():
     opts = SolverOptions(max_iter=20)
     _, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, opts, np.random.default_rng(0)))
     assert peak <= 64.0
+
+
+def test_one_step_at_m_10k_stays_under_48_mib():
+    # one (1 + m + restarts) x n array of starts alone would be 38 MiB here
+    G = _random_instance(3, 500, 10_000, seed=1)
+    opts = SolverOptions(max_iter=1)
+    for H in (UniformHypergraph.from_edges(3, 3, [(0, 1, 2)]), G):
+        starts = _pga_starts(H, 2.0, opts, np.random.default_rng(0))
+        assert starts.shape == (2 + opts.restarts, H.n)
+    _, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, opts, np.random.default_rng(0)))
+    assert peak <= 48.0
 
 
 @pytest.mark.slow
