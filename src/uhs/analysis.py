@@ -20,9 +20,10 @@ import numpy as np
 from .constructions import extensions_enumerate, power_lambda
 from .core import UniformHypergraph, degrees
 from .errors import PreconditionError
-from .solver import SolverOptions, certificate_search_sub_r, solve_p_spectral
+from .solver import SUBGRAPH_LIMIT, SolverOptions, certificate_search_sub_r, solve_p_spectral
 
 CHECK_SLACK = 1e-7
+SANDWICH_SLACK = 1e-8
 
 
 def _pow_safe(base: float, q: float) -> float:
@@ -128,7 +129,7 @@ def sweep(
     heuristic = False
     for i, p in enumerate(grid):
         point_opts = replace(opts, seed=opts.seed * 1_000_003 + i)
-        if sub_mode and G.n <= opts.subgraph_limit:
+        if sub_mode and G.n <= SUBGRAPH_LIMIT:
             cert = certificate_search_sub_r(G, p, point_opts)
             lams.append(cert.lam)
             conv.append(True)
@@ -139,17 +140,15 @@ def sweep(
             heuristic = heuristic or sub_mode
     f, g, h, ratio = [], [], [], []
     for p, lam in zip(grid, lams):
+        h.append(p * math.log(lam))
+        ratio.append((lam / (G.r * G.m)) ** p)
         if sub_mode:
             f.append(float("nan"))
             g.append(None)
-            h.append(p * math.log(lam))
-            ratio.append((lam / (G.r * G.m)) ** p)
             continue
         q = p / (p - G.r)
         f.append(_pow_safe(lam / prof.Delta, q))
         g.append(_pow_safe(lam / prof.delta, q) if prof.delta > 0 else None)
-        h.append(p * math.log(lam))
-        ratio.append((lam / (G.r * G.m)) ** p)
     return SweepCurve(
         p_grid=tuple(grid),
         lam=tuple(lams),
@@ -215,7 +214,7 @@ def check_concavity(curve: SweepCurve, slack: float = CHECK_SLACK) -> CheckRepor
 
 
 def extension_sandwich_check(
-    G: UniformHypergraph, p: float, opts: SolverOptions | None = None, slack: float = 1e-8
+    G: UniformHypergraph, p: float, opts: SolverOptions | None = None
 ) -> CheckReport:
     """Every extension H satisfies lower <= lambda^{(p+1)}(H) <= upper with
     the endpoints attained by the all-singletons and one-class partitions."""
@@ -240,7 +239,7 @@ def extension_sandwich_check(
             lower_hit = lower_hit or singleton
         if abs(lam_h - upper) <= 1e-6:
             upper_hit = upper_hit or one_class
-    passed = worst <= slack and lower_hit and upper_hit
+    passed = worst <= SANDWICH_SLACK and lower_hit and upper_hit
     return CheckReport(
         "extension_sandwich",
         passed,

@@ -121,9 +121,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    ops = {"join", "product", "power", "extend"}
-    if args.op not in ops:
-        raise PreconditionError(f"unknown construction op {args.op!r}")
     G1 = load_hypergraph(args.inputs[0])
     if args.op in ("join", "product"):
         if len(args.inputs) != 2:

@@ -79,13 +79,18 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-def extensions_enumerate(G: UniformHypergraph, guard: int = 8) -> list[UniformHypergraph]:
+EXTENSION_MAX_EDGES = 8  # the partitions of m edges number Bell(m): 4140 at m = 8
+
+
+def extensions_enumerate(G: UniformHypergraph) -> list[UniformHypergraph]:
     """All extensions of G: one new vertex per class of an edge partition,
     added to every edge of its class.  Includes G^{r+1} (all singletons)
     and G*K_1 (one class).  Enumeration over set partitions; guarded by m.
     """
-    if G.m > guard:
-        raise PreconditionError(f"extension enumeration limited to m <= {guard} (m={G.m})")
+    if G.m > EXTENSION_MAX_EDGES:
+        raise PreconditionError(
+            f"extension enumeration limited to m <= {EXTENSION_MAX_EDGES} (m={G.m})"
+        )
     out = []
     for part in _set_partitions(list(range(G.m))):
         cls_of = np.empty(G.m, dtype=np.int64)

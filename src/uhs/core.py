@@ -157,7 +157,8 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
 
 
 def serialize_hypergraph(G: UniformHypergraph) -> str:
-    """Emit canonical .uhg text; parse(serialize(G)) == G bit-exactly."""
+    """Emit canonical .uhg text; parse(serialize(G)) == G bit-exactly for
+    r >= 2 (the parser rejects r = 1, such as the K_1 join operand)."""
     row = " ".join(["%d"] * G.r)
     out = [f"{G.r} {G.n}"]
     out.extend(row % tuple(e) for e in G.edges_array.tolist())

@@ -243,8 +243,10 @@ def classify_labeling_sub_r(
     Conditions: row sums at most 1, and m^{r-p} * prod_{v in e} B(v,e)
     at least alpha on every edge.
     """
-    if p >= G.r:
-        raise PreconditionError(f"classify_labeling_sub_r requires p < r (got p={p}, r={G.r})")
+    if not (1 <= p < G.r):
+        raise PreconditionError(
+            f"classify_labeling_sub_r requires 1 <= p < r (got p={p}, r={G.r})"
+        )
     _check_tol(tol)
     B = np.asarray(B, dtype=float)
     if B.shape != (G.m, G.r):
@@ -252,9 +254,9 @@ def classify_labeling_sub_r(
     rows = _row_sums(G, B) - 1.0
     edge_vals = G.m ** (G.r - p) * B.prod(axis=1) - alpha
     ok = bool((rows <= tol).all()) and bool((edge_vals >= -tol).all())
-    residuals = {
-        "row_max": float(rows.max(initial=0.0)),
-        "edge_min": float(edge_vals.min(initial=0.0)),
+    residuals = {  # 0.0 for no edges: the verdict JSON has no infinities
+        "row_max": float(rows.max()) if rows.size else 0.0,
+        "edge_min": float(edge_vals.min()) if edge_vals.size else 0.0,
     }
     return LabelingVerdict(CLASS_SUBNORMAL if ok else CLASS_NONE, ok, residuals, tol)
 
@@ -281,12 +283,11 @@ def labeling_from_eigenvector(
     return Labeling(B=B, w=w, p=x.p, alpha=alpha)
 
 
-def eigenvector_from_labeling(
-    G: UniformHypergraph, L: Labeling, tol: float = DEFAULT_TOL
-) -> PVector:
+def eigenvector_from_labeling(G: UniformHypergraph, L: Labeling) -> PVector:
     """Recover x_v = (w(e) / (r B(v,e)))^{1/p} from a consistent labeling.
 
-    x_v is the value at the lowest-index edge through v.
+    x_v is the value at the lowest-index edge through v; the values at a
+    vertex may differ by a relative DEFAULT_TOL across its edges.
     """
     _check_support(G, L.B, L.w)
     isolated = np.flatnonzero(degrees(G).degrees == 0)
@@ -295,7 +296,7 @@ def eigenvector_from_labeling(
     # float_power runs the C pow on each entry, as scalar arithmetic does;
     # np.power may take a SIMD path that differs in the last bit
     cand = np.float_power(L.w[:, None] / (G.r * L.B), 1.0 / L.p)
-    bad = np.flatnonzero(_relative_spread(G, cand) > tol)
+    bad = np.flatnonzero(_relative_spread(G, cand) > DEFAULT_TOL)
     if bad.size:
         raise PreconditionError(
             f"inconsistent labeling at vertex {bad[0]}: edge-dependent values"

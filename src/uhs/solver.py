@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,30 +20,23 @@ from ._kernels import _leave_one_out, polynomial_sum, support_sums
 from ._kernels import support_sums as batch_support_sums  # own name: perfbench times batch calls apart
 from .core import UniformHypergraph, degrees, induced_subhypergraph
 from .errors import ConvergenceError, PreconditionError
-from .labeling import (
-    Labeling,
-    PVector,
-    eigenvector_from_labeling,
-    labeling_from_eigenvector,
-    weight_only_residual,
-)
+from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_residual
+
+
+# the exhaustive p < r certificate search runs on graphs of at most this many vertices
+SUBGRAPH_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 100_000
-    damping: float = 1.0
     restarts: int = 32
     seed: int = 0
-    subgraph_limit: int = 20
-    confirm_sub_r: bool = False
 
     def __post_init__(self) -> None:
         if not (0 < self.tol < math.inf):  # also rejects nan
             raise PreconditionError("tol must be positive and finite")
-        if not (0 < self.damping <= 1):
-            raise PreconditionError("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be at least 1")
         if self.restarts < 0:
@@ -142,7 +135,7 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
     n, r = G.n, G.r
     edges = G.edges_array
     x = np.full(n, n ** (-1.0 / p))
-    theta = opts.damping
+    theta = 1.0
     step = np.zeros(n)
     flips = 0
     res2 = res1 = np.inf  # residuals two steps and one step back
@@ -352,24 +345,7 @@ def solve_p_spectral(
             )
         return _solve_fixed_point(G, p, opts)
     rng = np.random.default_rng(opts.seed)
-    result = _pga_best(G, p, opts, rng)
-    if opts.confirm_sub_r and G.n <= opts.subgraph_limit:
-        cert = certificate_search_sub_r(G, p, opts)
-        if cert.lam > result.lam:
-            x = np.zeros(G.n)
-            xs = eigenvector_from_labeling(induced_subhypergraph(G, cert.S)[0], cert.labeling)
-            x[list(cert.S)] = xs.values
-            s, _ = support_sums(x, G.edges_array, G.n)
-            result = replace(
-                result,
-                lam=cert.lam,
-                x=PVector(values=x, p=p),
-                residual=float(_residual(s, x, cert.lam, p)),
-                support=cert.S,
-            )
-        if abs(cert.lam - result.lam) <= 1e-6 * max(1.0, result.lam):
-            result = replace(result, converged=True)
-    return result
+    return _pga_best(G, p, opts, rng)
 
 
 def _clique_number(adj: list[int]) -> int:
@@ -444,7 +420,7 @@ def certificate_search_sub_r(
         raise PreconditionError("hypergraph has no edges")
     opts = opts or SolverOptions()
     sub_opts = replace(opts, restarts=min(opts.restarts, 8))
-    exhaustive = G.n <= opts.subgraph_limit
+    exhaustive = G.n <= SUBGRAPH_LIMIT
     if exhaustive:
         # every union of edges, as boolean vertex rows: fold in one edge at a time
         rows = np.zeros((G.m, G.n), dtype=bool)

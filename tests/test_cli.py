@@ -339,8 +339,15 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert main(["solve", str(bad), "--p", "5"]) == 2
 
 
-def test_invalid_p_exits_2(fixture_dir, capsys):
+def test_invalid_p_exits_2(fixture_dir, tmp_path, capsys):
     assert main(["solve", str(fixture_dir / "k_2_2.uhg"), "--p", "0.5"]) == 2
+    star = str(fixture_dir / "star_g2.uhg")
+    cert = tmp_path / "cert.json"
+    argv = ["solve", star, "--p", "4", "--emit-cert", str(cert), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    for p in ("0.5", "-1"):
+        code, out = run_capture(capsys, ["verify", star, "--cert", str(cert), "--p", p])
+        assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize(

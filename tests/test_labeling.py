@@ -15,7 +15,7 @@ from uhs.constructions import (
     star_g2_orbits,
     two_triangles_path,
 )
-from uhs.core import UniformHypergraph, degrees
+from uhs.core import UniformHypergraph, degrees, induced_subhypergraph
 from uhs.errors import PreconditionError
 from uhs.labeling import (
     Labeling,
@@ -30,7 +30,7 @@ from uhs.labeling import (
     lambda_from_alpha,
     weight_only_residual,
 )
-from uhs.solver import solve_p_spectral, solve_weight_system
+from uhs.solver import certificate_search_sub_r, solve_p_spectral, solve_weight_system
 
 
 def consistent_labeling_from_weights(G, w, p, alpha):
@@ -158,9 +158,21 @@ def test_sub_r_unit_degree_split_is_subnormal():
 
 
 def test_sub_r_rejects_large_p():
-    G = k_r_r(2)
-    with pytest.raises(PreconditionError):
-        classify_labeling_sub_r(G, np.full((1, 2), 0.5), 0.1, 2.0)
+    # p outside [1, r): p >= r, and p below 1 where no sub-r theory holds
+    for G, p in ((k_r_r(2), 2.0), (k_r_r(3), 0.5), (k_r_r(3), -1.0)):
+        with pytest.raises(PreconditionError):
+            classify_labeling_sub_r(G, np.full((1, G.r), 0.5), 0.1, p)
+
+
+def test_sub_r_residuals_are_the_true_extremes():
+    # both extremes lie on the far side of 0: all rows below 1, all edges above alpha
+    G, p = star_g2(), 2.0
+    out = certificate_search_sub_r(G, p)
+    sub, _ = induced_subhypergraph(G, out.S)
+    v = classify_labeling_sub_r(sub, out.labeling.B / 2, out.labeling.alpha * 0.01, p)
+    assert v.classification == "subnormal"
+    assert v.residuals["row_max"] == pytest.approx(-0.5, abs=1e-12)
+    assert v.residuals["edge_min"] == pytest.approx(0.0575, abs=1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

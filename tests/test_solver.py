@@ -222,24 +222,6 @@ def test_certificate_search_rejects_large_p():
         certificate_search_sub_r(k_r_r(2), 2.0)
 
 
-def test_confirm_sub_r_flag():
-    opts = SolverOptions(confirm_sub_r=True)
-    res = solve_p_spectral(two_triangles_path(), 1.0, opts)
-    assert res.converged and abs(res.lam - 2.0 / 3.0) <= 1e-9
-
-
-def test_confirm_sub_r_reports_the_residual_of_the_returned_x():
-    # the PGA stops below 2/3 here, so the search's x replaces the PGA's
-    rng = np.random.default_rng(5)
-    for _ in range(7):
-        G = random_connected(rng, 2, 9, 6)
-    res = solve_p_spectral(G, 1.0, SolverOptions(confirm_sub_r=True))
-    x = res.x.values
-    s, _ = support_sums(x, G.edges_array, G.n)
-    assert abs(res.lam - 2.0 / 3.0) <= 1e-12
-    assert res.residual == float(_residual(s, x, res.lam, 1.0))
-
-
 def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOptions):
     """The exhaustive search with no bound: every support is optimized, and
     ties within 1e-9 go to the lexicographically smaller support."""
@@ -424,8 +406,6 @@ def test_invalid_options_rejected():
         with pytest.raises(PreconditionError):
             SolverOptions(tol=tol)
     with pytest.raises(PreconditionError):
-        SolverOptions(damping=1.5)
-    with pytest.raises(PreconditionError):
         SolverOptions(max_iter=0)
     with pytest.raises(PreconditionError):
         SolverOptions(restarts=-1)
@@ -507,16 +487,3 @@ def test_bracket_missing_when_x_has_a_zero_entry():
     res = solve_p_spectral(G, 2.0)
     assert res.converged and res.x.values[3] == 0.0
     assert res.lam_hi is None and res.lam_lo == res.lam
-
-
-def test_given_damping_is_kept():
-    # with damping = 1/2 the iterates are those of the fixed theta = 1/2 map
-    G, p, theta = _path(5), 2.0, 0.5
-    res = solve_p_spectral(G, p, SolverOptions(damping=theta))
-    assert res.converged
-    x = np.full(G.n, G.n ** (-1.0 / p))
-    for _ in range(res.iterations - 1):
-        s, _ = support_sums(x, G.edges_array, G.n)
-        y = ((1 - theta) * x ** (p - 1) + theta * s / polynomial_form(G, x)) ** (1 / (p - 1))
-        x = y / (y**p).sum() ** (1 / p)
-    assert np.allclose(res.x.values, x, rtol=1e-13, atol=0)
