@@ -26,6 +26,9 @@ from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_
 # the exhaustive p < r certificate search runs on graphs of at most this many vertices
 SUBGRAPH_LIMIT = 20
 
+# x counts as strictly positive when every entry exceeds this share of its largest
+POSITIVE_SHARE = 1e-7
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -176,7 +179,8 @@ def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.
     """The all-ones vector, the first edge's indicator, then random restarts.
 
     All m edge indicators are critical points with the same P and residual,
-    bit for bit, so the first stands for all: argmax breaks ties toward it.
+    bit for bit, so the first stands for all: the final pick of `_pga_best`
+    breaks their ties toward it.
     """
     X = np.zeros((2 + opts.restarts, G.n))
     X[0] = 1.0
@@ -194,7 +198,13 @@ def _pga_best(
     All 2 + restarts starts step together.  A row is done once its residual
     is at most tol or its step size underflows; a done row no longer moves.
     The ascent stops when every row is done, when no row gained 1e-14 over
-    a 100-step window, or at the cap; the row with the largest P wins.
+    a 10-step window, or at the cap; `_polish_critical` then finishes the
+    winner.  Once P stalls, accepted steps only drift where P is flat to
+    second order, so a longer window buys nothing the polish does not.
+    The winner is the first strictly positive row whose P is within
+    1e-12 * max(1, max P) of the largest, else the first row with the
+    largest P: the certificate search needs a strictly positive critical
+    point, and an edge indicator ties with one on degenerate supports.
     """
     n, r = G.n, G.r
     edges = G.edges_array
@@ -204,7 +214,7 @@ def _pga_best(
     P = r * prods.sum(axis=1)
     it = 0
     cap = min(opts.max_iter, max_iter)
-    window = 100
+    window = 10
     P_window = P.copy()
     for it in range(1, cap + 1):
         xq = np.power(X, p - 1.0)
@@ -234,7 +244,9 @@ def _pga_best(
         P[accept] = Pn[accept]
         eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
         eta[~accept] *= 0.5
-    best = int(np.argmax(P))
+    tied = P >= P.max() - 1e-12 * max(1.0, float(P.max()))
+    pick = tied & (X > POSITIVE_SHARE * X.max(axis=1, keepdims=True)).all(axis=1)
+    best = int(np.argmax(pick if pick.any() else P))
     x = X[best].copy()
     lam = float(P[best])
     residual = float(_residual(S, X, P[:, None], p)[best])
@@ -403,16 +415,17 @@ def certificate_search_sub_r(
     Candidate supports are unions of edge subsets (any admissible support
     must leave no isolated vertex in the induced sub-hypergraph), visited
     in lexicographic order.  Each candidate is optimized by `_pga_best`,
-    whose starts include an edge indicator, a boundary point; only strictly
-    positive critical points are kept.  The first support that beats the
-    running best by more than tie_tol wins, so ties in lambda go to the
-    lexicographically smallest vertex set.  A support whose bound
-    `_lambda_bound` is at most best + tie_tol/2 is skipped unoptimized.  Its
-    PGA or polish value exceeds lambda(G[S]) only by the polish's norm
-    error, at most lambda * (r/p) * 0.01 * tol, which is below tie_tol/2
-    while lambda * r/p < 500 at the default tol.  So it could not have
-    beaten the running best by tie_tol, and skipping it changes neither S
-    nor lambda.
+    whose starts include an edge indicator, a boundary point.  Where that
+    indicator ties a strictly positive critical point, `_pga_best` returns
+    the positive one; only strictly positive critical points are kept.  The
+    first support that beats the running best by more than tie_tol wins, so
+    ties in lambda go to the lexicographically smallest vertex set.  A
+    support whose bound `_lambda_bound` is at most best + tie_tol/2 is
+    skipped unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only
+    by the polish's norm error, at most lambda * (r/p) * 0.01 * tol, which
+    is below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it
+    could not have beaten the running best by tie_tol, and skipping it
+    changes neither S nor lambda.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -447,7 +460,7 @@ def certificate_search_sub_r(
         rng = np.random.default_rng(opts.seed)
         res = _pga_best(sub, p, sub_opts, rng, max_iter=5000)
         x = res.x.values
-        if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= 1e-7 * x.max():
+        if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= POSITIVE_SHARE * x.max():
             continue
         lab = labeling_from_eigenvector(sub, res.x, res.lam)
         if best is None or res.lam > best[2] + tie_tol:
