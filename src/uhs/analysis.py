@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import edge_products
 from .constructions import extensions_enumerate, power_lambda
 from .core import UniformHypergraph, degrees
 from .errors import PreconditionError
@@ -42,7 +43,7 @@ def degree_bound(G: UniformHypergraph, p: float) -> float:
     if G.m == 0:
         raise PreconditionError("degree bound requires at least one edge")
     d = degrees(G).degrees.astype(float)
-    total = float(np.power(d[G.edges_array], 1.0 / (p - G.r)).prod(axis=1).sum())
+    total = float(edge_products(np.power(d[G.edges_array], 1.0 / (p - G.r))).sum())
     return (G.r * total) ** ((p - G.r) / p)
 
 
@@ -53,7 +54,7 @@ def simple_degree_bound(G: UniformHypergraph, p: float) -> float:
     if G.m == 0:
         raise PreconditionError("degree bound requires at least one edge")
     d = degrees(G).degrees.astype(float)
-    best = float(np.power(d[G.edges_array], 1.0 / p).prod(axis=1).max())
+    best = float(edge_products(np.power(d[G.edges_array], 1.0 / p)).max())
     return (G.r * G.m) ** (1.0 - G.r / p) * best
 
 

@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from typing import Iterable
 
 import numpy as np
 
@@ -27,12 +28,13 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or the concatenation of an iterable of pieces, to path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".uhs-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,7 +70,7 @@ def _cmd_solve(args) -> int:
     result = solve_p_spectral(G, args.p, _solver_options(args))
     if args.emit_cert:
         cert = solver_certificate(G, result)
-        _atomic_write(args.emit_cert, cert.to_json())
+        _atomic_write(args.emit_cert, cert.json_pieces())
     if args.format == "text":
         lines = [
             f"lambda     {result.lam!r}",

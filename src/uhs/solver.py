@@ -317,7 +317,7 @@ def _polish_critical(
         x = np.exp(u[:ns])
         xq = np.power(x, p - 1.0)
         out = np.zeros((ns + 1, ns + 1))
-        np.add.at(out, (edges[:, a], edges[:, b]), _leave_one_out(x[edges])[:, a])
+        np.add.at(out, (edges[:, a], edges[:, b]), _leave_one_out(x[edges])[0][:, a])
         out[np.arange(ns), np.arange(ns)] = -u[ns] * (p - 1.0) * xq
         out[:ns, ns] = -xq
         out[ns, :ns] = p * xq * x

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,11 +54,64 @@ def test_polynomial_sum_matches_fsum():
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_leave_one_out_identity(seed):
-    # pre*suf at position j equals the product of the other entries
+    # position j holds the product of the other entries; prods all of them
     rng = np.random.default_rng(seed)
     xe = rng.uniform(0.1, 2.0, (4, 5))
-    loo = _kernels._leave_one_out(xe)
+    loo, prods = _kernels._leave_one_out(xe)
     for k in range(4):
+        assert math.isclose(prods[k], np.prod(xe[k]), rel_tol=1e-12)
         for j in range(5):
             other = np.prod(np.delete(xe[k], j))
             assert math.isclose(loo[k, j], other, rel_tol=1e-12)
+
+
+def _cumprod_support_sums(x, edges, n):
+    """The kernel as it was written with np.cumprod and prod: the bit-for-bit reference."""
+    if x.ndim == 1:
+        xe, idx = x[edges], edges
+    else:
+        xe, idx = x[:, edges], edges + n * np.arange(x.shape[0])[:, None, None]
+    pre = np.ones_like(xe)
+    suf = np.ones_like(xe)
+    np.cumprod(xe[..., :-1], axis=-1, out=pre[..., 1:])
+    np.cumprod(xe[..., :0:-1], axis=-1, out=suf[..., -2::-1])
+    pre *= suf
+    s = np.bincount(idx.ravel(), weights=pre.ravel(), minlength=x.size)
+    return s.reshape(x.shape).astype(float, copy=False), xe.prod(axis=-1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _awkward_entries(rng, shape):
+    # zeros, subnormals, values near 1e150 (products overflow to inf, and inf * 0 is nan)
+    pool = np.array([0.0, 5e-324, 2.5e-310, 1e-160, 0.3, 1.0, 7.25, 1e150, 3e150])
+    x = rng.uniform(0.0, 2.0, shape)
+    pick = rng.random(shape) < 0.4
+    x[pick] = rng.choice(pool, int(pick.sum()))
+    return x
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+@pytest.mark.parametrize("m", [0, 1, 50])
+def test_support_sums_match_the_cumprod_kernel_bit_for_bit(r, m):
+    rng = np.random.default_rng(100 * r + m)
+    n = r + 6
+    edges = np.array([rng.choice(n, r, replace=False) for _ in range(m)], dtype=np.int64).reshape(m, r)
+    for shape in [(n,), (1, n), (7, n)]:
+        x = _awkward_entries(rng, shape)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = _kernels.support_sums(x, edges, n)
+            want = _cumprod_support_sums(x, edges, n)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_edge_products_match_prod_bit_for_bit(r):
+    rng = np.random.default_rng(r)
+    for m in [0, 1, 50, 1000]:
+        a = rng.uniform(0.0, 3.0, (m, r))
+        got = _kernels.edge_products(a)
+        assert _same_bits(got, a.prod(axis=1))
+        assert _same_bits(got, _kernels._leave_one_out(a)[1])

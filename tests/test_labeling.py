@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from uhs.constructions import (
 from uhs.core import UniformHypergraph, degrees, induced_subhypergraph
 from uhs.errors import PreconditionError
 from uhs.labeling import (
+    JSON_BLOCK_ROWS,
     Labeling,
     LabelingVerdict,
     PVector,
@@ -275,6 +277,18 @@ def test_json_is_one_sorted_line():
     text = L.to_json()
     assert "\n" not in text
     assert text.startswith('{"B": [[0.5, 0.5], [0.5, 0.5]], "alpha": 0.25, "p": 3.0, "w": ')
+
+
+@pytest.mark.parametrize("m", [1, JSON_BLOCK_ROWS, JSON_BLOCK_ROWS + 1])
+def test_json_pieces_join_to_one_json_dumps(m):
+    rng = np.random.default_rng(m)
+    L = Labeling(B=rng.uniform(1e-300, 1.0, (m, 3)), w=rng.uniform(1e-9, 1.0, m), p=3.5, alpha=1e-12)
+    payload = {"p": L.p, "alpha": L.alpha, "w": L.w.tolist(), "B": L.B.tolist()}
+    text = "".join(L.json_pieces())
+    assert text == json.dumps(payload, sort_keys=True, allow_nan=False) == L.to_json()
+    L2 = Labeling.from_json(text)
+    assert L2.p == L.p and L2.alpha == L.alpha
+    assert np.array_equal(L2.B, L.B) and np.array_equal(L2.w, L.w)
 
 
 @pytest.mark.parametrize(
