@@ -11,8 +11,13 @@ so an edge costs no per-edge loop setup.  The per-vertex sums come from
 one ``np.bincount`` over the m x r corner array in edge order, so
 results are reproducible.  A batch of k vectors is scattered by the same
 call: row b's corners go to bins b*n .. b*n + n - 1, so each row is
-summed in the same order as on its own and the batch result equals k
-single-vector calls bit for bit.
+summed in the same order as on its own, and a batch's s and prods equal
+those of k single-vector calls bit for bit.  The gather ``x[:, edges]``
+puts the batch axis innermost (strides (8, 8*k*r, 8*k) for k rows), so
+the column multiplies run on strided data, and prods comes out with the
+same layout.  A caller's ``prods.sum(axis=1)`` then adds each row's
+products in sequence, where ``prods.sum()`` of a single vector sums
+pairwise: for m >= 8 the two sums can differ in the last bits.
 """
 
 from __future__ import annotations

@@ -232,18 +232,19 @@ def _pga_best(
         grad = r * S
         coef = (grad * xq).sum(axis=1) / np.maximum((xq * xq).sum(axis=1), 1e-300)
         grad = grad - coef[:, None] * xq
-        Y = np.clip(X + eta[:, None] * grad, 0.0, None)
+        Y = X + eta[:, None] * grad
+        np.maximum(Y, 0.0, out=Y)
         nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
         ok = nrm > 0
-        Y[ok] /= nrm[ok, None]
+        np.divide(Y, nrm[:, None], out=Y, where=ok[:, None])
         SY, prods = batch_support_sums(Y, edges, n)
         Pn = r * prods.sum(axis=1)
         accept = ok & (Pn >= P - 1e-15) & ~done
-        X[accept] = Y[accept]
-        S[accept] = SY[accept]
-        P[accept] = Pn[accept]
-        eta[accept] = np.minimum(eta[accept] * 1.1, 1.0)
-        eta[~accept] *= 0.5
+        # accepted rows take the step in place, with no gather or scatter copies
+        np.copyto(X, Y, where=accept[:, None])
+        np.copyto(S, SY, where=accept[:, None])
+        np.copyto(P, Pn, where=accept)
+        eta = np.where(accept, np.minimum(eta * 1.1, 1.0), eta * 0.5)
     tied = P >= P.max() - 1e-12 * max(1.0, float(P.max()))
     pick = tied & (X > POSITIVE_SHARE * X.max(axis=1, keepdims=True)).all(axis=1)
     best = int(np.argmax(pick if pick.any() else P))
@@ -360,8 +361,34 @@ def solve_p_spectral(
     return _pga_best(G, p, opts, rng)
 
 
-def _clique_number(adj: list[int]) -> int:
-    """Size of a largest clique of the graph whose vertex v has neighbour bitmask adj[v]."""
+def _mask(vertices: Sequence[int]) -> int:
+    """The vertex bitmask of a vertex collection: bit v is set for vertex v."""
+    return sum(1 << v for v in vertices)
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _edges_inside(edge_masks: list[int], S: int) -> list[int] | None:
+    """The edges of G[S] as vertex masks, or None when they do not cover the
+    nonempty vertex mask S, that is when G[S] has no edge or an isolated vertex."""
+    inside = [e for e in edge_masks if e | S == S]
+    covered = 0
+    for e in inside:
+        covered |= e
+    return inside if covered == S else None
+
+
+def _clique_number(adj: list[int], cand: int) -> int:
+    """Size of a largest clique among the vertices of mask cand, in the graph
+    whose vertex v has neighbour bitmask adj[v] (v itself not set)."""
     best = 0
 
     def grow(size: int, cand: int) -> None:
@@ -375,12 +402,13 @@ def _clique_number(adj: list[int]) -> int:
         grow(size + 1, cand & adj[v])  # cliques holding v
         grow(size, cand & ~(1 << v))  # cliques without v
 
-    grow(0, (1 << len(adj)) - 1)
+    grow(0, cand)
     return best
 
 
-def _lambda_bound(H: UniformHypergraph, p: float) -> float:
-    """Upper bound on lambda^(p)(H) for p >= 1 and m >= 1 edges.
+def _shadow_bound(r: int, inside: list[int], S: int, p: float) -> float:
+    """Upper bound on lambda^(p) of the r-graph on vertex mask S whose
+    m >= 1 edges have the masks `inside`.
 
     Step 1: (lambda^(p) / (r m))^p is non-increasing in p.  For q < p take
     y optimal at p and put x = y^{p/q}, so ||x||_q = 1.  By the power mean
@@ -388,23 +416,30 @@ def _lambda_bound(H: UniformHypergraph, p: float) -> float:
     lambda^(q) >= r sum_e (prod_e y)^{p/q} >= r m (lambda^(p) / (r m))^{p/q}.
     With q = 1 this reads lambda^(p) <= (r m)^{1 - 1/p} * lambda^(1)^{1/p}.
 
-    Step 2 bounds lambda^(1).  For r = 2 it equals 1 - 1/omega
-    (Motzkin-Straus), omega the clique number.  For r >= 3, P grows with
-    the edge set, so lambda^(1)(H) <= lambda^(1)(K_n^(r)) = r C(n, r) / n^r,
-    attained at the uniform vector by Maclaurin's inequality.  Nikiforov's
-    edge-count bound (r! m)^{1 - 1/p} / (r - 1)! is the n -> infinity limit
-    of this form, so it adds nothing.
+    Step 2 bounds lambda^(1) by r C(omega, r) / omega^r, omega the clique
+    number of the 2-shadow (the pairs of vertices that share an edge).
+    Some optimal vector at p = 1 has a support whose pairs all lie in an
+    edge (Frankl-Rodl 1984), so the support is a shadow clique on
+    t <= omega vertices.  P on t vertices is at most that of the complete
+    r-graph, r C(t, r) / t^r by Maclaurin's inequality, which grows with
+    t.  For r = 2 this is 1 - 1/omega (Motzkin-Straus).
     """
-    r, n = H.r, H.n
-    if r == 2:
-        adj = [0] * n
-        for a, b in H.edges_array.tolist():
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        lam1 = 1.0 - 1.0 / _clique_number(adj)
-    else:
-        lam1 = r * math.comb(n, r) / n**r
-    return (r * H.m) ** (1.0 - 1.0 / p) * lam1 ** (1.0 / p)
+    adj = [0] * S.bit_length()
+    for e in inside:
+        rest = e
+        while rest:
+            low = rest & -rest
+            adj[low.bit_length() - 1] |= e ^ low
+            rest ^= low
+    omega = _clique_number(adj, S)
+    lam1 = r * math.comb(omega, r) / omega**r
+    return (r * len(inside)) ** (1.0 - 1.0 / p) * lam1 ** (1.0 / p)
+
+
+def _lambda_bound(H: UniformHypergraph, p: float) -> float:
+    """Upper bound on lambda^(p)(H) for p >= 1 and m >= 1 edges: the
+    2-shadow clique bound of `_shadow_bound` on all of H."""
+    return _shadow_bound(H.r, [_mask(e) for e in H.edges_array.tolist()], (1 << H.n) - 1, p)
 
 
 def certificate_search_sub_r(
@@ -414,18 +449,22 @@ def certificate_search_sub_r(
 
     Candidate supports are unions of edge subsets (any admissible support
     must leave no isolated vertex in the induced sub-hypergraph), visited
-    in lexicographic order.  Each candidate is optimized by `_pga_best`,
-    whose starts include an edge indicator, a boundary point.  Where that
-    indicator ties a strictly positive critical point, `_pga_best` returns
-    the positive one; only strictly positive critical points are kept.  The
-    first support that beats the running best by more than tie_tol wins, so
-    ties in lambda go to the lexicographically smallest vertex set.  A
-    support whose bound `_lambda_bound` is at most best + tie_tol/2 is
-    skipped unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only
-    by the polish's norm error, at most lambda * (r/p) * 0.01 * tol, which
-    is below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it
-    could not have beaten the running best by tie_tol, and skipping it
-    changes neither S nor lambda.
+    in lexicographic order.  Edges and candidates are vertex bitmasks: the
+    edges of G[S] are those with no vertex outside S, and S is skipped when
+    they do not cover it.  Each remaining candidate is optimized by
+    `_pga_best`, whose starts include an edge indicator, a boundary point.
+    Where that indicator ties a strictly positive critical point,
+    `_pga_best` returns the positive one; only strictly positive critical
+    points are kept.  The first support that beats the running best by
+    more than tie_tol wins, so ties in lambda go to the lexicographically
+    smallest vertex set.  A support whose 2-shadow clique bound
+    (`_shadow_bound` on the edges of G[S]) is at most best + tie_tol/2 is
+    skipped unoptimized, and G[S] is built only for the supports optimized.
+    Its PGA or polish value exceeds lambda(G[S]) only by the polish's norm
+    error, at most lambda * (r/p) * 0.01 * tol, which is below tie_tol/2
+    while lambda * r/p < 500 at the default tol.  So it could not have
+    beaten the running best by tie_tol, and skipping it changes neither S
+    nor lambda.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -433,30 +472,31 @@ def certificate_search_sub_r(
         raise PreconditionError("hypergraph has no edges")
     opts = opts or SolverOptions()
     sub_opts = replace(opts, restarts=min(opts.restarts, 8))
+    edge_masks = [_mask(e) for e in G.edges_array.tolist()]
     exhaustive = G.n <= SUBGRAPH_LIMIT
     if exhaustive:
-        # every union of edges, as boolean vertex rows: fold in one edge at a time
-        rows = np.zeros((G.m, G.n), dtype=bool)
-        rows[np.arange(G.m)[:, None], G.edges_array] = True
-        unions = np.zeros((1, G.n), dtype=bool)
-        for row in rows:
-            unions = np.unique(np.vstack([unions, unions | row]), axis=0)
-        candidates = sorted(tuple(np.flatnonzero(u).tolist()) for u in unions if u.any())
+        # every union of edges: fold in one edge at a time
+        unions = {0}
+        for e in edge_masks:
+            unions |= {u | e for u in unions}
+        unions.discard(0)
+        candidates = sorted((_vertices(u), u) for u in unions)
     else:
         rng = np.random.default_rng(opts.seed)
         heur = _pga_best(G, p, opts, rng)
-        candidates = [heur.support] if heur.support else []
+        candidates = [(heur.support, _mask(heur.support))] if heur.support else []
     best: tuple[tuple[int, ...], Labeling, float] | None = None
     tie_tol = 1e-9
     tried = pruned = 0
-    for S in candidates:
-        sub, vmap = induced_subhypergraph(G, S)
-        if sub.m == 0 or degrees(sub).delta == 0:
+    for S, mask in candidates:
+        inside = _edges_inside(edge_masks, mask)
+        if inside is None:
             continue
-        if best is not None and _lambda_bound(sub, p) <= best[2] + tie_tol / 2:
+        if best is not None and _shadow_bound(G.r, inside, mask, p) <= best[2] + tie_tol / 2:
             pruned += 1
             continue
         tried += 1
+        sub, _ = induced_subhypergraph(G, S)
         rng = np.random.default_rng(opts.seed)
         res = _pga_best(sub, p, sub_opts, rng, max_iter=5000)
         x = res.x.values

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,10 +20,14 @@ from uhs.errors import PreconditionError
 from uhs.labeling import alpha_from_lambda, classify_labeling, eigenvector_from_labeling
 from uhs.solver import (
     SolverOptions,
+    _edges_inside,
     _lambda_bound,
+    _mask,
     _pga_best,
     _polish_critical,
     _residual,
+    _shadow_bound,
+    _vertices,
     certificate_search_sub_r,
     compose_components,
     compose_components_max,
@@ -253,6 +259,10 @@ def _parity_instances():
         n = int(rng.integers(r + 1, 7 if r == 2 else 8))  # graphs on 7 vertices take seconds
         ps = (1.0, 1.5) if r == 2 else (1.0, 1.5, 2.0, 2.5)
         out.append((random_connected(rng, r, n, int(rng.integers(0, 3))), ps[i // 2 % len(ps)]))
+    rng = np.random.default_rng(19)
+    for p in (1.0, 2.0, 3.0, 2.5):  # r = 4: the shadow of G[S] has more than r vertices
+        n = int(rng.integers(5, 7))
+        out.append((random_connected(rng, 4, n, int(rng.integers(0, 3))), p))
     return out
 
 
@@ -267,12 +277,45 @@ def test_certificate_search_matches_the_unpruned_search():
     assert certificate_search_sub_r(star, 1.0).S == (0, 1, 2)
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_lambda_bound_dominates_brute_force(r):
-    for n in range(r, 5):
+    for n in range(r, max(5, r + 2)):
         for G in enumerate_connected(n, r):
             for p in (1.0, 1.5, 2.5):
                 assert _lambda_bound(G, p) >= brute_force_lambda(G, p) - 1e-9
+
+
+def _complete_graph_bound(H, p):
+    """The bound with lambda^(1)(H) replaced by that of the complete r-graph
+    on all n vertices of H, r C(n, r) / n^r."""
+    r, n = H.r, H.n
+    return (r * H.m) ** (1.0 - 1.0 / p) * (r * math.comb(n, r) / n**r) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_bitmask_screen_matches_the_induced_subhypergraph(r):
+    rng = np.random.default_rng(40 + r)
+    for _ in range(10):
+        n = int(rng.integers(r + 1, 9))
+        G = random_connected(rng, r, n, int(rng.integers(0, 2 * n)))
+        edge_masks = [_mask(e) for e in G.edges_array.tolist()]
+        for S in range(1, 1 << n):  # every vertex set, not only the unions of edges
+            sub, _ = induced_subhypergraph(G, _vertices(S))
+            inside = _edges_inside(edge_masks, S)
+            assert (inside is None) == (sub.m == 0 or degrees(sub).delta == 0)
+            if inside is None:
+                continue
+            assert len(inside) == sub.m
+            # at p = 1 the bound is lambda^(1) of the complete r-graph on a
+            # largest clique of the 2-shadow of G[S]
+            pairs = {pair for e in sub.edges_array.tolist() for pair in combinations(e, 2)}
+            omega = clique_number(sub.n, pairs)
+            assert _shadow_bound(r, inside, S, 1.0) == r * math.comb(omega, r) / omega**r
+            for p in (1.0, 1.5, 2.5):
+                bound = _shadow_bound(r, inside, S, p)
+                assert bound == _lambda_bound(sub, p)
+                if r >= 3:
+                    assert bound <= _complete_graph_bound(sub, p)
 
 
 def test_certificate_search_p1_is_motzkin_straus():
