@@ -12,12 +12,13 @@ one ``np.bincount`` over the m x r corner array in edge order, so
 results are reproducible.  A batch of k vectors is scattered by the same
 call: row b's corners go to bins b*n .. b*n + n - 1, so each row is
 summed in the same order as on its own, and a batch's s and prods equal
-those of k single-vector calls bit for bit.  The gather ``x[:, edges]``
-puts the batch axis innermost (strides (8, 8*k*r, 8*k) for k rows), so
-the column multiplies run on strided data, and prods comes out with the
-same layout.  A caller's ``prods.sum(axis=1)`` then adds each row's
-products in sequence, where ``prods.sum()`` of a single vector sums
-pairwise: for m >= 8 the two sums can differ in the last bits.
+those of k single-vector calls bit for bit.  The batch is gathered
+through those same offset indices from the flattened x, so the corner
+array is C-contiguous (k, m, r): the column multiplies run on one block
+per row, and prods comes out C-contiguous (k, m).  A caller's
+``prods.sum(axis=1)`` then sums each row pairwise, as ``prods.sum()``
+does for a single vector, so a batch row's P equals the single-vector P
+bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def support_sums(x: np.ndarray, edges: np.ndarray, n: int):
     if x.ndim == 1:
         xe, idx = x[edges], edges
     else:
-        xe, idx = x[:, edges], edges + n * np.arange(x.shape[0])[:, None, None]
+        idx = edges + n * np.arange(x.shape[0])[:, None, None]
+        xe = x.reshape(-1)[idx]
     loo, prods = _leave_one_out(xe)
     s = np.bincount(idx.ravel(), weights=loo.ravel(), minlength=x.size)
     # with no edges bincount returns integer zeros

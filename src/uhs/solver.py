@@ -29,6 +29,11 @@ SUBGRAPH_LIMIT = 20
 # x counts as strictly positive when every entry exceeds this share of its largest
 POSITIVE_SHARE = 1e-7
 
+# the p < r ascent hands its winner to the Newton polish once no row gained
+# STALL_GAIN * max(1, max P) over the last STALL_WINDOW steps
+STALL_GAIN = 1e-9
+STALL_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -197,14 +202,18 @@ def _pga_best(
 
     All 2 + restarts starts step together.  A row is done once its residual
     is at most tol or its step size underflows; a done row no longer moves.
-    The ascent stops when every row is done, when no row gained 1e-14 over
-    a 10-step window, or at the cap; `_polish_critical` then finishes the
-    winner.  Once P stalls, accepted steps only drift where P is flat to
-    second order, so a longer window buys nothing the polish does not.
-    The winner is the first strictly positive row whose P is within
-    1e-12 * max(1, max P) of the largest, else the first row with the
-    largest P: the certificate search needs a strictly positive critical
-    point, and an edge indicator ties with one on degenerate supports.
+    The ascent stops when every row is done, when no row gained
+    STALL_GAIN * max(1, max P) over the last STALL_WINDOW steps, or at the
+    cap; `_polish_critical` then finishes the winner.  Once P gains that
+    little, Newton on the winner's support reaches the critical point in a
+    few steps where the ascent needs hundreds.  The hand-off cannot go much
+    earlier: the polish accepts any critical point within 1e-4 * lambda,
+    so a winner handed off far from its own critical point can land on a
+    lower one.  The winner is the first strictly positive row whose P is
+    within 1e-12 * max(1, max P) of the largest, else the first row with
+    the largest P: the certificate search needs a strictly positive
+    critical point, and an edge indicator ties with one on degenerate
+    supports.
     """
     n, r = G.n, G.r
     edges = G.edges_array
@@ -214,7 +223,6 @@ def _pga_best(
     P = r * prods.sum(axis=1)
     it = 0
     cap = min(opts.max_iter, max_iter)
-    window = 10
     P_window = P.copy()
     for it in range(1, cap + 1):
         xq = np.power(X, p - 1.0)
@@ -222,17 +230,17 @@ def _pga_best(
         done = (res <= opts.tol) | (eta <= 1e-15)
         if done.all():
             break
-        if it % window == 0:
-            # critical values stalled across the window: nothing left to gain
-            if (P - P_window).max() < 1e-14:
+        if it % STALL_WINDOW == 0:
+            if (P - P_window).max() < STALL_GAIN * max(1.0, float(P.max())):
                 break
             P_window = P.copy()
         # ascent direction tangent to the l^p sphere (raw gradient plus
-        # renormalization is not an ascent direction for P on the sphere)
-        grad = r * S
-        coef = (grad * xq).sum(axis=1) / np.maximum((xq * xq).sum(axis=1), 1e-300)
-        grad = grad - coef[:, None] * xq
-        Y = X + eta[:, None] * grad
+        # renormalization is not an ascent direction for P on the sphere):
+        # the gradient r * S less its part along xq, with r in the step size
+        coef = np.einsum("ij,ij->i", S, xq) / np.maximum(np.einsum("ij,ij->i", xq, xq), 1e-300)
+        Y = S - coef[:, None] * xq
+        Y *= (r * eta)[:, None]
+        Y += X
         np.maximum(Y, 0.0, out=Y)
         nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
         ok = nrm > 0
@@ -250,7 +258,7 @@ def _pga_best(
     best = int(np.argmax(pick if pick.any() else P))
     x = X[best].copy()
     lam = float(P[best])
-    residual = float(_residual(S, X, P[:, None], p)[best])
+    residual = float(_residual(S[best], x, lam, p))
     support = np.flatnonzero(x > 1e-9)
     if residual > opts.tol:
         polished = _polish_critical(G, x, lam, p, support, opts.tol)
@@ -342,7 +350,8 @@ def solve_p_spectral(
 
     For p >= r: damped normalized fixed-point iteration on the
     eigenequation (unique positive eigenvector for p > r).  For
-    1 <= p < r: multi-start projected gradient; maximizers may sit on the
+    1 <= p < r: multi-start projected gradient until P stalls, then Newton
+    on the winner's support (`_pga_best`); maximizers may sit on the
     boundary, so the support is reported and convergence means the best
     restart satisfied the eigenequation residual on its support.
     """

@@ -41,6 +41,20 @@ def test_batch_matches_single():
         s, prods = _kernels.support_sums(X[k], G.edges_array, G.n)
         assert np.array_equal(S[k], s)
         assert np.array_equal(P[k], prods)
+    # a batch row's products are contiguous, so prods.sum(axis=1) adds them
+    # pairwise, in the order prods.sum() uses for a single vector
+    n = 40
+    for r in (2, 3, 4):
+        for m in (8, 80, 300):
+            edges = np.argsort(rng.random((m, n)), axis=1)[:, :r]
+            X = rng.uniform(0.0, 1.0, (34, n))
+            S, P = _kernels.support_sums(X, edges, n)
+            row_sums = P.sum(axis=1)
+            for k in range(X.shape[0]):
+                s, prods = _kernels.support_sums(X[k], edges, n)
+                assert np.array_equal(S[k], s)
+                assert np.array_equal(P[k], prods)
+                assert row_sums[k] == prods.sum()
 
 
 def test_polynomial_sum_matches_fsum():
