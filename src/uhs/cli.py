@@ -181,6 +181,7 @@ def _cmd_certify_sub_r(args) -> int:
     payload = {
         "S": list(result.S),
         "lambda": result.lam,
+        "lambda_hi": result.lam_hi,
         "alpha": result.labeling.alpha,
         "exhaustive": result.exhaustive,
         "tried": result.tried,

@@ -29,10 +29,17 @@ SUBGRAPH_LIMIT = 20
 # x counts as strictly positive when every entry exceeds this share of its largest
 POSITIVE_SHARE = 1e-7
 
+# the Newton polish rejects a critical point more than POLISH_DRIFT * max(1, lambda0)
+# from the value lambda0 it starts at
+POLISH_DRIFT = 1e-4
+
 # the p < r ascent hands its winner to the Newton polish once no row gained
 # STALL_GAIN * max(1, max P) over the last STALL_WINDOW steps
 STALL_GAIN = 1e-9
 STALL_WINDOW = 5
+
+# the p < r certificate search ascends up to WAVE candidate supports in one batch
+WAVE = 4
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,11 @@ class SpectralResult:
 @dataclass(frozen=True)
 class CertificateSearchResult:
     """The certificate found, with the search counts: `tried` supports were
-    optimized and `pruned` were skipped by their bound on lambda."""
+    optimized and `pruned` were skipped by their bound on lambda.
+
+    lam is a lower bound on lambda^(p)(G); lam_hi, set by the exhaustive
+    search only, is an upper bound.
+    """
 
     S: tuple[int, ...]
     labeling: Labeling
@@ -97,6 +108,7 @@ class CertificateSearchResult:
     exhaustive: bool
     tried: int
     pruned: int
+    lam_hi: float | None = None
 
 
 def _norm_p(v: np.ndarray, p: float) -> float:
@@ -180,44 +192,114 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
     )
 
 
-def _pga_starts(G: UniformHypergraph, p: float, opts: SolverOptions, rng) -> np.ndarray:
+def _pga_starts(
+    G: UniformHypergraph, p: float, opts: SolverOptions, rng, S: Sequence[int] | None = None
+) -> np.ndarray:
     """The all-ones vector, the first edge's indicator, then random restarts.
 
     All m edge indicators are critical points with the same P and residual,
     bit for bit, so the first stands for all: the final pick of `_pga_best`
-    breaks their ties toward it.
+    breaks their ties toward it.  Given a vertex set S, these are the starts
+    of G[S] scattered into the columns S of G, zero elsewhere.  G[S] keeps
+    the edge order of G, so its first edge is the first edge of G inside S.
     """
+    edges = G.edges_array
+    if S is None:
+        cols, first, width = slice(None), edges[0], G.n
+    else:
+        cols, width = list(S), len(S)
+        inside = np.zeros(G.n, dtype=bool)
+        inside[cols] = True
+        first = edges[np.argmax(inside[edges].all(axis=1))]
     X = np.zeros((2 + opts.restarts, G.n))
-    X[0] = 1.0
-    X[1, G.edges_array[0]] = 1.0
-    X[2:] = rng.gamma(1.0, size=(opts.restarts, G.n))
+    X[0, cols] = 1.0
+    X[1, first] = 1.0
+    X[2:, cols] = rng.gamma(1.0, size=(opts.restarts, width))
     X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
     return X
 
 
+def _positive_rows(X: np.ndarray, M: np.ndarray | None) -> np.ndarray:
+    """Which rows of X are strictly positive on their support: the columns
+    where the mask M is set, or every column when M is None."""
+    positive = X > POSITIVE_SHARE * X.max(axis=1, keepdims=True)
+    if M is not None:
+        positive |= M == 0
+    return positive.all(axis=1)
+
+
+def _pga_winner(X, S, P, M, p: float, rows: slice, it: int):
+    """(x, lam, residual, it): the pick of `_pga_best` among one group's
+    rows of the batch X, with support sums S, values P and column mask M
+    (None: every column)."""
+    X, S, P = X[rows], S[rows], P[rows]
+    top = float(P.max())
+    pick = (P >= top - 1e-12 * max(1.0, top)) & _positive_rows(X, None if M is None else M[rows])
+    best = int(np.argmax(pick if pick.any() else P))
+    x = X[best].copy()
+    lam = float(P[best])
+    return x, lam, float(_residual(S[best], x, lam, p)), it
+
+
 def _pga_best(
-    G: UniformHypergraph, p: float, opts: SolverOptions, rng, max_iter: int = 20000
-) -> SpectralResult:
+    G: UniformHypergraph,
+    p: float,
+    opts: SolverOptions,
+    rng,
+    max_iter: int = 20000,
+    groups: Sequence[tuple[tuple[int, ...], float]] | None = None,
+):
     """Batched projected-gradient ascent of P_G on the nonnegative l^p sphere.
 
-    All 2 + restarts starts step together.  A row is done once its residual
-    is at most tol or its step size underflows; a done row no longer moves.
-    The ascent stops when every row is done, when no row gained
-    STALL_GAIN * max(1, max P) over the last STALL_WINDOW steps, or at the
-    cap; `_polish_critical` then finishes the winner.  Once P gains that
-    little, Newton on the winner's support reaches the critical point in a
-    few steps where the ascent needs hundreds.  The hand-off cannot go much
-    earlier: the polish accepts any critical point within 1e-4 * lambda,
-    so a winner handed off far from its own critical point can land on a
-    lower one.  The winner is the first strictly positive row whose P is
-    within 1e-12 * max(1, max P) of the largest, else the first row with
-    the largest P: the certificate search needs a strictly positive
-    critical point, and an edge indicator ties with one on degenerate
-    supports.
+    The rows step together in groups.  With `groups` None there is one
+    group, the starts of `_pga_starts` on G drawn from rng, and the result
+    is its winner finished by `_pga_result`.  Otherwise each (S, U) in
+    `groups` ascends P on G[S] without building G[S]: its starts are those
+    of G[S], drawn from a fresh `default_rng(opts.seed)` and scattered into
+    the columns S, and a mask M keeps its rows on S (there is none when
+    every group spans G: an all-ones mask changes no bit).  The mask
+    stands for x^(p-1) at p = 1, where 0^0 = 1 off S (for p > 1, x^(p-1)
+    is 0 there already), and multiplies the step before the clip, since
+    s_i > 0 at vertices just outside S.  Every row reduces over the same n columns
+    and m edges of G, so a group's result is, bit for bit, the same
+    whichever groups share its batch.  The result is then one unpolished
+    winner (x, lam, residual, iterations) per group, for `_pga_result`.
+
+    A row is done once its residual is at most tol or its step size
+    underflows; a done row no longer moves.  A group stops when every row
+    is done, when none of its rows gained STALL_GAIN * max(1, max P) over
+    the last STALL_WINDOW steps, or at the cap; its rows then leave the
+    batch.  Once P gains that little, Newton on the winner's support
+    reaches the critical point in a few steps where the ascent needs
+    hundreds.  The hand-off cannot go much earlier: the polish accepts any
+    critical point within POLISH_DRIFT * lambda, so a winner handed off far
+    from its own critical point can land on a lower one.  A group (S, U)
+    with U < inf also stops once a row strictly positive on S with residual
+    at most tol has P >= U - 1e-12 * max(1, U): U bounds lambda^(p)(G[S]),
+    so no row can do better.  The winner is the first row strictly
+    positive on the group's support whose P is within 1e-12 * max(1, max P)
+    of the group's largest, else the first row with the largest P: the
+    certificate search needs a strictly positive critical point, and an
+    edge indicator ties with one on degenerate supports.
     """
     n, r = G.n, G.r
     edges = G.edges_array
-    X = _pga_starts(G, p, opts, rng)
+    k = 2 + opts.restarts  # rows per group
+    M = cut = None
+    if groups is None:
+        X = _pga_starts(G, p, opts, rng)
+    else:
+        X = np.vstack(
+            [_pga_starts(G, p, opts, np.random.default_rng(opts.seed), T) for T, _ in groups]
+        )
+        if any(len(T) < n for T, _ in groups):
+            M = np.zeros_like(X)
+            for g, (T, _) in enumerate(groups):
+                M[g * k : (g + 1) * k, list(T)] = 1.0
+        if any(U < math.inf for _, U in groups):
+            cut = np.repeat([U - 1e-12 * max(1.0, U) if U < math.inf else U for _, U in groups], k)
+    live = list(range(1 if groups is None else len(groups)))  # groups still stepping, in row order
+    out: list = [None] * len(live)
     eta = np.full(X.shape[0], 0.25)
     S, prods = batch_support_sums(X, edges, n)
     P = r * prods.sum(axis=1)
@@ -225,15 +307,32 @@ def _pga_best(
     cap = min(opts.max_iter, max_iter)
     P_window = P.copy()
     for it in range(1, cap + 1):
-        xq = np.power(X, p - 1.0)
+        xq = M if M is not None and p == 1.0 else np.power(X, p - 1.0)
         res = np.where(X > 0, np.abs(S - P[:, None] * xq), 0.0).max(axis=1)
-        done = (res <= opts.tol) | (eta <= 1e-15)
-        if done.all():
-            break
+        converged = res <= opts.tol
+        done = converged | (eta <= 1e-15)
+        stop = done.reshape(-1, k).all(axis=1)
+        if cut is not None:
+            certified = converged & (P >= cut)
+            if certified.any():
+                certified &= _positive_rows(X, M)
+                stop |= certified.reshape(-1, k).any(axis=1)
         if it % STALL_WINDOW == 0:
-            if (P - P_window).max() < STALL_GAIN * max(1.0, float(P.max())):
-                break
+            gain = (P - P_window).reshape(-1, k).max(axis=1)
+            stop |= gain < STALL_GAIN * np.maximum(1.0, P.reshape(-1, k).max(axis=1))
             P_window = P.copy()
+        stopped = stop.tolist()
+        if any(stopped):
+            for j, g in enumerate(live):
+                if stopped[j]:
+                    out[g] = _pga_winner(X, S, P, M, p, slice(j * k, (j + 1) * k), it)
+            live = [g for g, s in zip(live, stopped) if not s]
+            if not live:
+                break
+            keep = np.repeat(~stop, k)
+            X, S, P, eta, P_window, xq, done, M, cut = (
+                None if a is None else a[keep] for a in (X, S, P, eta, P_window, xq, done, M, cut)
+            )
         # ascent direction tangent to the l^p sphere (raw gradient plus
         # renormalization is not an ascent direction for P on the sphere):
         # the gradient r * S less its part along xq, with r in the step size
@@ -241,6 +340,8 @@ def _pga_best(
         Y = S - coef[:, None] * xq
         Y *= (r * eta)[:, None]
         Y += X
+        if M is not None:
+            Y *= M
         np.maximum(Y, 0.0, out=Y)
         nrm = np.power(np.power(Y, p).sum(axis=1), 1.0 / p)
         ok = nrm > 0
@@ -253,23 +354,34 @@ def _pga_best(
         np.copyto(S, SY, where=accept[:, None])
         np.copyto(P, Pn, where=accept)
         eta = np.where(accept, np.minimum(eta * 1.1, 1.0), eta * 0.5)
-    tied = P >= P.max() - 1e-12 * max(1.0, float(P.max()))
-    pick = tied & (X > POSITIVE_SHARE * X.max(axis=1, keepdims=True)).all(axis=1)
-    best = int(np.argmax(pick if pick.any() else P))
-    x = X[best].copy()
-    lam = float(P[best])
-    residual = float(_residual(S[best], x, lam, p))
-    support = np.flatnonzero(x > 1e-9)
-    if residual > opts.tol:
-        polished = _polish_critical(G, x, lam, p, support, opts.tol)
+    for j, g in enumerate(live):  # the groups still stepping at the cap
+        out[g] = _pga_winner(X, S, P, M, p, slice(j * k, (j + 1) * k), it)
+    if groups is None:
+        return _pga_result(G, p, opts.tol, *out[0])
+    return out
+
+
+def _pga_result(
+    G: UniformHypergraph,
+    p: float,
+    tol: float,
+    x: np.ndarray,
+    lam: float,
+    residual: float,
+    iterations: int,
+) -> SpectralResult:
+    """An ascent winner as a result, polished by `_polish_critical` on its
+    support when its residual exceeds tol."""
+    if residual > tol:
+        polished = _polish_critical(G, x, lam, p, np.flatnonzero(x > 1e-9), tol)
         if polished is not None:
             x, lam, residual = polished
     return SpectralResult(
         lam=lam,
         x=PVector(values=x, p=p),
         residual=residual,
-        iterations=it,
-        converged=bool(residual <= opts.tol),
+        iterations=iterations,
+        converged=bool(residual <= tol),
         support=tuple(np.flatnonzero(x > 1e-12).tolist()),
     )
 
@@ -338,7 +450,7 @@ def _polish_critical(
     s, prods = support_sums(x, G.edges_array, G.n)
     lam = G.r * float(polynomial_sum(prods))
     residual = float(_residual(s, x, lam, p))
-    if abs(lam - lam0) > 1e-4 * max(1.0, lam0):
+    if abs(lam - lam0) > POLISH_DRIFT * max(1.0, lam0):
         return None  # drifted to a different critical point
     return x, lam, residual
 
@@ -468,12 +580,24 @@ def certificate_search_sub_r(
     more than tie_tol wins, so ties in lambda go to the lexicographically
     smallest vertex set.  A support whose 2-shadow clique bound
     (`_shadow_bound` on the edges of G[S]) is at most best + tie_tol/2 is
-    skipped unoptimized, and G[S] is built only for the supports optimized.
-    Its PGA or polish value exceeds lambda(G[S]) only by the polish's norm
-    error, at most lambda * (r/p) * 0.01 * tol, which is below tie_tol/2
-    while lambda * r/p < 500 at the default tol.  So it could not have
-    beaten the running best by tie_tol, and skipping it changes neither S
-    nor lambda.
+    skipped unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only
+    by the polish's norm error, at most lambda * (r/p) * 0.01 * tol, which
+    is below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it
+    could not have beaten the running best by tie_tol, and skipping it
+    changes neither S nor lambda.
+
+    The candidates are ascended in waves: the next WAVE whose bound beats
+    the best at the start of the wave, as masked groups of one batch on G,
+    each stopping once it reaches its bound (a candidate of more than
+    SUBGRAPH_LIMIT vertices gets none).  The wave is then replayed in order with the
+    rules above, so S, lambda, `tried` and `pruned` are those of one
+    candidate at a time.  A tried support is polished only when its ascent
+    value, moved by twice the most the polish accepts, would beat the best
+    by tie_tol; else it cannot win.
+    G[S] and its labeling are built for the final S alone.  lam_hi, set
+    when the search is exhaustive, is the bound on all of G: a maximizer's
+    support leaves no vertex of its induced sub-hypergraph isolated, so it
+    is a candidate, and the bound grows with the candidate.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -494,32 +618,60 @@ def certificate_search_sub_r(
         rng = np.random.default_rng(opts.seed)
         heur = _pga_best(G, p, opts, rng)
         candidates = [(heur.support, _mask(heur.support))] if heur.support else []
-    best: tuple[tuple[int, ...], Labeling, float] | None = None
-    tie_tol = 1e-9
-    tried = pruned = 0
+    screened = []  # (S, bound on lambda^(p)(G[S])) for each S its edges cover
     for S, mask in candidates:
         inside = _edges_inside(edge_masks, mask)
-        if inside is None:
-            continue
-        if best is not None and _shadow_bound(G.r, inside, mask, p) <= best[2] + tie_tol / 2:
-            pruned += 1
-            continue
-        tried += 1
-        sub, _ = induced_subhypergraph(G, S)
-        rng = np.random.default_rng(opts.seed)
-        res = _pga_best(sub, p, sub_opts, rng, max_iter=5000)
-        x = res.x.values
-        if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= POSITIVE_SHARE * x.max():
-            continue
-        lab = labeling_from_eigenvector(sub, res.x, res.lam)
-        if best is None or res.lam > best[2] + tie_tol:
-            best = (S, lab, res.lam)
+        if inside is not None:
+            # the clique search on a large shadow can take exponential time
+            bound = _shadow_bound(G.r, inside, mask, p) if len(S) <= SUBGRAPH_LIMIT else math.inf
+            screened.append((S, bound))
+    best: tuple[tuple[int, ...], SpectralResult] | None = None
+    tie_tol = 1e-9
+    tried = pruned = 0
+    i = 0
+    while i < len(screened):
+        floor = -math.inf if best is None else best[1].lam + tie_tol / 2
+        wave = []
+        while i < len(screened) and len(wave) < WAVE:
+            if screened[i][1] <= floor:
+                pruned += 1
+            else:
+                wave.append(screened[i])
+            i += 1
+        if not wave:
+            break
+        for (S, bound), ascent in zip(wave, _pga_best(G, p, sub_opts, None, 5000, wave)):
+            if best is not None and bound <= best[1].lam + tie_tol / 2:
+                pruned += 1
+                continue
+            tried += 1
+            lam0 = ascent[1]
+            reach = lam0 + 2 * POLISH_DRIFT * max(1.0, lam0)
+            if best is not None and reach <= best[1].lam + tie_tol:
+                continue  # not even the polish could lift it past the best
+            res = _pga_result(G, p, opts.tol, *ascent)
+            x = res.x.values[list(S)]
+            if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= POSITIVE_SHARE * x.max():
+                continue
+            if best is None or res.lam > best[1].lam + tie_tol:
+                best = (S, res)
     if best is None:
         raise ConvergenceError(
             "no induced sub-hypergraph with a strictly positive critical point was found"
         )
+    S, res = best
+    sub, vmap = induced_subhypergraph(G, S)
+    labeling = labeling_from_eigenvector(sub, PVector(values=res.x.values[vmap], p=p), res.lam)
+    # where the bound is tight, rounding can put lam an ulp above it
+    lam_hi = max(_lambda_bound(G, p), res.lam) if exhaustive else None
     return CertificateSearchResult(
-        S=best[0], labeling=best[1], lam=best[2], exhaustive=exhaustive, tried=tried, pruned=pruned
+        S=S,
+        labeling=labeling,
+        lam=res.lam,
+        exhaustive=exhaustive,
+        tried=tried,
+        pruned=pruned,
+        lam_hi=lam_hi,
     )
 
 

@@ -323,6 +323,8 @@ def test_certify_sub_r(fixture_dir, capsys):
     payload = json.loads(out)
     assert payload["S"] == [0, 1, 2]
     assert abs(payload["lambda"] - 2.0 / 3.0) <= 1e-9
+    # the largest clique of the graph is a triangle: Motzkin-Straus 1 - 1/3
+    assert abs(payload["lambda_hi"] - 2.0 / 3.0) <= 1e-15
     assert payload["exhaustive"] is True
     # the second triangle's supports cannot beat 2/3, so the bound skips them
     assert payload["tried"] >= 1 and payload["pruned"] > 0

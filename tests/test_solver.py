@@ -24,6 +24,7 @@ from uhs.solver import (
     _lambda_bound,
     _mask,
     _pga_best,
+    _pga_result,
     _polish_critical,
     _residual,
     _shadow_bound,
@@ -229,8 +230,9 @@ def test_certificate_search_rejects_large_p():
 
 
 def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOptions):
-    """The exhaustive search with no bound: every support is optimized, and
-    ties within 1e-9 go to the lexicographically smaller support."""
+    """The exhaustive search with no pruning and no waves: every support is
+    optimized on its own, as a group of one, and ties within 1e-9 go to the
+    lexicographically smaller support."""
     unions = {frozenset()}
     for e in G.edges_array.tolist():
         unions |= {u | set(e) for u in unions}
@@ -240,8 +242,9 @@ def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOption
         sub, _ = induced_subhypergraph(G, S)
         if sub.m == 0 or degrees(sub).delta == 0:
             continue
-        res = _pga_best(sub, p, sub_opts, np.random.default_rng(opts.seed), max_iter=5000)
-        x = res.x.values
+        ascent = _pga_best(G, p, sub_opts, None, 5000, [(S, _lambda_bound(sub, p))])[0]
+        res = _pga_result(G, p, opts.tol, *ascent)
+        x = res.x.values[list(S)]
         if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= 1e-7 * x.max():
             continue
         if best is None or res.lam > best[1] + 1e-9:
@@ -273,13 +276,18 @@ def test_certificate_search_matches_the_unpruned_search():
     for G, p in ties + _parity_instances():
         out = certificate_search_sub_r(G, p, opts)
         assert (out.S, out.lam) == _plain_certificate_search(G, p, opts)
-    # the non-clique support ties the clique (0, 2) at 1/2 and comes first
+        assert out.lam <= out.lam_hi == max(_lambda_bound(G, p), out.lam)
+    # the non-clique support ties the clique (0, 2) at 1/2 and comes first,
+    # also as a proper support, where positivity is judged on S alone
     assert certificate_search_sub_r(star, 1.0).S == (0, 1, 2)
+    star_and_edge = UniformHypergraph.from_edges(2, 5, [(0, 2), (1, 2), (3, 4)])
+    assert certificate_search_sub_r(star_and_edge, 1.0).S == (0, 1, 2)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_lambda_bound_dominates_brute_force(r):
-    for n in range(r, max(5, r + 2)):
+    # the exhaustive search's lam_hi is this bound on all of G
+    for n in range(r, 6):
         for G in enumerate_connected(n, r):
             for p in (1.0, 1.5, 2.5):
                 assert _lambda_bound(G, p) >= brute_force_lambda(G, p) - 1e-9
@@ -324,7 +332,81 @@ def test_certificate_search_p1_is_motzkin_straus():
         n = int(rng.integers(3, 9))
         G = random_connected(rng, 2, n, int(rng.integers(0, n)))
         omega = clique_number(G.n, G.edges_array.tolist())
-        assert abs(certificate_search_sub_r(G, 1.0).lam - (1.0 - 1.0 / omega)) <= 1e-9
+        out = certificate_search_sub_r(G, 1.0)
+        assert abs(out.lam - (1.0 - 1.0 / omega)) <= 1e-9
+        assert abs(out.lam_hi - (1.0 - 1.0 / omega)) <= 1e-15
+
+
+def _wave_instances():
+    rng = np.random.default_rng(23)
+    out = []
+    for i in range(12):
+        r = (2, 3, 4)[i % 3]
+        n = int(rng.integers(r + 2, 9))
+        G = random_connected(rng, r, n, int(rng.integers(1, n)))
+        ps = np.arange(1.0, r - 0.25, 0.5)
+        out.append(pytest.param(G, float(ps[i // 3 % len(ps)]), id=f"r{r}-n{n}-m{G.m}"))
+    return out
+
+
+@pytest.mark.parametrize("G, p", _wave_instances())
+def test_wave_groups_match_their_own_ascent(G, p):
+    # a wave of several candidate supports: each group's winner is, bit for
+    # bit, that of its one-group call, and agrees with the ascent on G[S]
+    opts = SolverOptions(restarts=8)
+    edge_masks = [_mask(e) for e in G.edges_array.tolist()]
+    unions = {0}
+    for e in edge_masks:
+        unions |= {u | e for u in unions}
+    screened = []
+    for S, mask in sorted((_vertices(u), u) for u in unions if u):
+        inside = _edges_inside(edge_masks, mask)
+        if inside is not None:
+            screened.append((S, _shadow_bound(G.r, inside, mask, p)))
+    wave = screened[:: max(1, len(screened) // 5)][:6] + screened[-1:]
+    assert len(wave) >= 3
+    for (S, bound), got in zip(wave, _pga_best(G, p, opts, None, 5000, wave)):
+        alone = _pga_best(G, p, opts, None, 5000, [(S, bound)])[0]
+        assert np.array_equal(got[0], alone[0]) and got[1:] == alone[1:]
+        sub, vmap = induced_subhypergraph(G, S)
+        ref = _pga_best(sub, p, opts, np.random.default_rng(opts.seed), 5000)
+        res = _pga_result(G, p, opts.tol, *got)
+        assert abs(res.lam - ref.lam) <= 1e-12
+        assert res.support == tuple(vmap[v] for v in ref.support)
+
+
+@pytest.mark.parametrize("r, n, p", [(2, 4, 1.5), (3, 5, 2.0)])
+def test_complete_graph_supports_stop_at_their_bound(r, n, p, monkeypatch):
+    # every candidate support of K_n^(r) spans a complete r-graph, whose
+    # all-ones start is a critical point at its bound r C(t, r) t^(-r/p):
+    # each ascent stops there at its first iteration
+    import uhs.solver
+
+    iterations = []
+
+    def recording(*args, **kwargs):
+        out = _pga_best(*args, **kwargs)
+        iterations.extend(ascent[3] for ascent in out)
+        return out
+
+    monkeypatch.setattr(uhs.solver, "_pga_best", recording)
+    G = UniformHypergraph.from_edges(r, n, list(combinations(range(n), r)))
+    out = certificate_search_sub_r(G, p)
+    assert out.S == tuple(range(n))
+    assert out.tried >= 1 and len(iterations) >= out.tried
+    assert set(iterations) == {1}
+    assert abs(out.lam - r * math.comb(n, r) * n ** (-r / p)) <= 1e-12
+
+
+def test_certificate_search_beyond_the_subgraph_limit():
+    # n > SUBGRAPH_LIMIT: the one candidate is the support of the solve on G
+    # at the full restarts, and there is no upper end
+    G = random_connected(np.random.default_rng(3), 2, 24, 20)
+    out = certificate_search_sub_r(G, 1.5)
+    heur = solve_p_spectral(G, 1.5)
+    assert not out.exhaustive and out.lam_hi is None
+    assert out.S == heur.support and out.tried == 1 and out.pruned == 0
+    assert abs(out.lam - heur.lam) <= 1e-9
 
 
 def test_weight_system_star():
