@@ -166,6 +166,8 @@ def sweep(
 
 def check_monotone_f_g(curve: SweepCurve, slack: float = CHECK_SLACK) -> CheckReport:
     """f non-decreasing and g non-increasing along the grid."""
+    if curve.p_grid[0] < curve.r:  # f and g are defined for p > r only
+        return CheckReport("monotone_f_g", True, 0.0, {"g": "N/A (p < r)"})
     worst = 0.0
     for a, b in zip(curve.f, curve.f[1:]):
         worst = max(worst, a - b)

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, constructions
 from .core import UniformHypergraph, load_hypergraph, serialize_hypergraph
 from .errors import ConvergenceError, HypergraphFormatError, PreconditionError
-from .labeling import Labeling, classify_labeling, classify_labeling_sub_r
+from .labeling import DEFAULT_TOL, Labeling, classify_labeling, classify_labeling_sub_r
 from .solver import SolverOptions, certificate_search_sub_r, solve_p_spectral, solver_certificate
 
 EXIT_OK = 0
@@ -59,10 +59,10 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _add_solver_flags(sp) -> None:
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=32)
+    sp.add_argument("--tol", type=float, default=SolverOptions.tol)
+    sp.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
+    sp.add_argument("--seed", type=int, default=SolverOptions.seed)
+    sp.add_argument("--restarts", type=int, default=SolverOptions.restarts)
 
 
 def _cmd_solve(args) -> int:
@@ -144,6 +144,12 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _json_values(values) -> list:
+    """The values with None for those JSON cannot hold: f is nan (undefined)
+    for p < r, and f and g saturate to inf as p approaches r from above."""
+    return [v if v is not None and np.isfinite(v) else None for v in values]
+
+
 def _cmd_sweep(args) -> int:
     G = load_hypergraph(args.input)
     grid = [float(v) for v in args.grid.split(",")]
@@ -161,15 +167,15 @@ def _cmd_sweep(args) -> int:
         "curve": {
             "p": list(curve.p_grid),
             "lambda": list(curve.lam),
-            "f": list(curve.f),
-            "g": list(curve.g),
+            "f": _json_values(curve.f),
+            "g": _json_values(curve.g),
             "h": list(curve.h),
             "ratio": list(curve.ratio),
         },
         "checks": [json.loads(r.to_json()) for r in reports],
         "heuristic": curve.heuristic,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     if not all(curve.converged):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--cert", required=True)
     sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--format", choices=["json", "text"], default="json")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(func=_cmd_verify)

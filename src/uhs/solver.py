@@ -193,28 +193,25 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
 
 
 def _pga_starts(
-    G: UniformHypergraph, p: float, opts: SolverOptions, rng, S: Sequence[int] | None = None
+    G: UniformHypergraph, p: float, opts: SolverOptions, S: Sequence[int]
 ) -> np.ndarray:
-    """The all-ones vector, the first edge's indicator, then random restarts.
+    """The starts of G[S] scattered into the columns S of G, zero elsewhere:
+    the all-ones vector, the first edge's indicator, then random restarts
+    drawn afresh from opts.seed.
 
-    All m edge indicators are critical points with the same P and residual,
+    All edge indicators are critical points with the same P and residual,
     bit for bit, so the first stands for all: the final pick of `_pga_best`
-    breaks their ties toward it.  Given a vertex set S, these are the starts
-    of G[S] scattered into the columns S of G, zero elsewhere.  G[S] keeps
-    the edge order of G, so its first edge is the first edge of G inside S.
+    breaks their ties toward it.  G[S] keeps the edge order of G, so its
+    first edge is the first edge of G inside S.
     """
     edges = G.edges_array
-    if S is None:
-        cols, first, width = slice(None), edges[0], G.n
-    else:
-        cols, width = list(S), len(S)
-        inside = np.zeros(G.n, dtype=bool)
-        inside[cols] = True
-        first = edges[np.argmax(inside[edges].all(axis=1))]
+    cols = list(S)
+    inside = np.zeros(G.n, dtype=bool)
+    inside[cols] = True
     X = np.zeros((2 + opts.restarts, G.n))
     X[0, cols] = 1.0
-    X[1, first] = 1.0
-    X[2:, cols] = rng.gamma(1.0, size=(opts.restarts, width))
+    X[1, edges[np.argmax(inside[edges].all(axis=1))]] = 1.0
+    X[2:, cols] = np.random.default_rng(opts.seed).gamma(1.0, size=(opts.restarts, len(cols)))
     X /= np.power(np.power(X, p).sum(axis=1), 1.0 / p)[:, None]
     return X
 
@@ -245,25 +242,21 @@ def _pga_best(
     G: UniformHypergraph,
     p: float,
     opts: SolverOptions,
-    rng,
-    max_iter: int = 20000,
-    groups: Sequence[tuple[tuple[int, ...], float]] | None = None,
+    max_iter: int,
+    groups: Sequence[tuple[Sequence[int], float]],
 ):
     """Batched projected-gradient ascent of P_G on the nonnegative l^p sphere.
 
-    The rows step together in groups.  With `groups` None there is one
-    group, the starts of `_pga_starts` on G drawn from rng, and the result
-    is its winner finished by `_pga_result`.  Otherwise each (S, U) in
-    `groups` ascends P on G[S] without building G[S]: its starts are those
-    of G[S], drawn from a fresh `default_rng(opts.seed)` and scattered into
-    the columns S, and a mask M keeps its rows on S (there is none when
-    every group spans G: an all-ones mask changes no bit).  The mask
-    stands for x^(p-1) at p = 1, where 0^0 = 1 off S (for p > 1, x^(p-1)
-    is 0 there already), and multiplies the step before the clip, since
-    s_i > 0 at vertices just outside S.  Every row reduces over the same n columns
+    The rows step together in groups.  Each (S, U) in `groups` ascends P on
+    G[S] without building G[S]: its rows start at `_pga_starts(G, p, opts,
+    S)`, and a mask M keeps them on S (there is none when every group spans
+    G, as in the solve: an all-ones mask changes no bit).  The mask stands
+    for x^(p-1) at p = 1, where 0^0 = 1 off S (for p > 1, x^(p-1) is 0
+    there already), and multiplies the step before the clip, since s_i > 0
+    at vertices just outside S.  Every row reduces over the same n columns
     and m edges of G, so a group's result is, bit for bit, the same
-    whichever groups share its batch.  The result is then one unpolished
-    winner (x, lam, residual, iterations) per group, for `_pga_result`.
+    whichever groups share its batch.  The result is one unpolished winner
+    (x, lam, residual, iterations) per group, for `_pga_result`.
 
     A row is done once its residual is at most tol or its step size
     underflows; a done row no longer moves.  A group stops when every row
@@ -286,19 +279,14 @@ def _pga_best(
     edges = G.edges_array
     k = 2 + opts.restarts  # rows per group
     M = cut = None
-    if groups is None:
-        X = _pga_starts(G, p, opts, rng)
-    else:
-        X = np.vstack(
-            [_pga_starts(G, p, opts, np.random.default_rng(opts.seed), T) for T, _ in groups]
-        )
-        if any(len(T) < n for T, _ in groups):
-            M = np.zeros_like(X)
-            for g, (T, _) in enumerate(groups):
-                M[g * k : (g + 1) * k, list(T)] = 1.0
-        if any(U < math.inf for _, U in groups):
-            cut = np.repeat([U - 1e-12 * max(1.0, U) if U < math.inf else U for _, U in groups], k)
-    live = list(range(1 if groups is None else len(groups)))  # groups still stepping, in row order
+    X = np.vstack([_pga_starts(G, p, opts, T) for T, _ in groups])
+    if any(len(T) < n for T, _ in groups):
+        M = np.zeros_like(X)
+        for g, (T, _) in enumerate(groups):
+            M[g * k : (g + 1) * k, list(T)] = 1.0
+    if any(U < math.inf for _, U in groups):
+        cut = np.repeat([U - 1e-12 * max(1.0, U) if U < math.inf else U for _, U in groups], k)
+    live = list(range(len(groups)))  # groups still stepping, in row order
     out: list = [None] * len(live)
     eta = np.full(X.shape[0], 0.25)
     S, prods = batch_support_sums(X, edges, n)
@@ -356,8 +344,6 @@ def _pga_best(
         eta = np.where(accept, np.minimum(eta * 1.1, 1.0), eta * 0.5)
     for j, g in enumerate(live):  # the groups still stepping at the cap
         out[g] = _pga_winner(X, S, P, M, p, slice(j * k, (j + 1) * k), it)
-    if groups is None:
-        return _pga_result(G, p, opts.tol, *out[0])
     return out
 
 
@@ -478,8 +464,8 @@ def solve_p_spectral(
                 "p > r requires no isolated vertices (positive-eigenvector theorem)"
             )
         return _solve_fixed_point(G, p, opts)
-    rng = np.random.default_rng(opts.seed)
-    return _pga_best(G, p, opts, rng)
+    ascent = _pga_best(G, p, opts, 20000, [(range(G.n), math.inf)])[0]
+    return _pga_result(G, p, opts.tol, *ascent)
 
 
 def _mask(vertices: Sequence[int]) -> int:
@@ -568,36 +554,41 @@ def certificate_search_sub_r(
 ) -> CertificateSearchResult:
     """Induced-subgraph certificate search for 1 <= p < r.
 
-    Candidate supports are unions of edge subsets (any admissible support
-    must leave no isolated vertex in the induced sub-hypergraph), visited
-    in lexicographic order.  Edges and candidates are vertex bitmasks: the
-    edges of G[S] are those with no vertex outside S, and S is skipped when
-    they do not cover it.  Each remaining candidate is optimized by
-    `_pga_best`, whose starts include an edge indicator, a boundary point.
-    Where that indicator ties a strictly positive critical point,
-    `_pga_best` returns the positive one; only strictly positive critical
-    points are kept.  The first support that beats the running best by
-    more than tie_tol wins, so ties in lambda go to the lexicographically
-    smallest vertex set.  A support whose 2-shadow clique bound
-    (`_shadow_bound` on the edges of G[S]) is at most best + tie_tol/2 is
-    skipped unoptimized.  Its PGA or polish value exceeds lambda(G[S]) only
-    by the polish's norm error, at most lambda * (r/p) * 0.01 * tol, which
-    is below tie_tol/2 while lambda * r/p < 500 at the default tol.  So it
-    could not have beaten the running best by tie_tol, and skipping it
-    changes neither S nor lambda.
+    On at most SUBGRAPH_LIMIT vertices the search is exhaustive: candidate
+    supports are unions of edge subsets (any admissible support must leave
+    no isolated vertex in the induced sub-hypergraph), visited in
+    lexicographic order.  Past the limit the first candidate is the
+    support of `solve_p_spectral` on G, and when a candidate's winner is
+    not strictly positive on it, the winner's positive part, a smaller
+    support, is the next candidate.  Edges and candidates are vertex
+    bitmasks: the edges of G[S] are those with no vertex outside S, and S
+    is skipped when they do not cover it.
+
+    Each remaining candidate is optimized by `_pga_best`, whose starts
+    include an edge indicator, a boundary point.  Where that indicator ties
+    a strictly positive critical point, `_pga_best` returns the positive
+    one; only strictly positive critical points are kept.  The first
+    support that beats the running best by more than tie_tol wins, so ties
+    in lambda go to the lexicographically smallest vertex set.  A support
+    whose 2-shadow clique bound (`_shadow_bound` on the edges of G[S]) is
+    at most best + tie_tol/2 is skipped unoptimized.  Its PGA or polish
+    value exceeds lambda(G[S]) only by the polish's norm error, at most
+    lambda * (r/p) * 0.01 * tol, which is below tie_tol/2 while
+    lambda * r/p < 500 at the default tol.  So it could not have beaten the
+    running best by tie_tol, and skipping it changes neither S nor lambda.
 
     The candidates are ascended in waves: the next WAVE whose bound beats
     the best at the start of the wave, as masked groups of one batch on G,
     each stopping once it reaches its bound (a candidate of more than
-    SUBGRAPH_LIMIT vertices gets none).  The wave is then replayed in order with the
-    rules above, so S, lambda, `tried` and `pruned` are those of one
-    candidate at a time.  A tried support is polished only when its ascent
-    value, moved by twice the most the polish accepts, would beat the best
-    by tie_tol; else it cannot win.
-    G[S] and its labeling are built for the final S alone.  lam_hi, set
-    when the search is exhaustive, is the bound on all of G: a maximizer's
-    support leaves no vertex of its induced sub-hypergraph isolated, so it
-    is a candidate, and the bound grows with the candidate.
+    SUBGRAPH_LIMIT vertices gets none).  The wave is then replayed in order
+    with the rules above, so S, lambda, `tried` and `pruned` are those of
+    one candidate at a time.  A tried support is polished only when its
+    ascent value, moved by twice the most the polish accepts, would beat
+    the best by tie_tol; else it cannot win.  G[S] and its labeling are
+    built for the final S alone.  lam_hi, set when the search is
+    exhaustive, is the bound on all of G: a maximizer's support leaves no
+    vertex of its induced sub-hypergraph isolated, so it is a candidate,
+    and the bound grows with the candidate.
     """
     if not (1 <= p < G.r):
         raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
@@ -606,6 +597,15 @@ def certificate_search_sub_r(
     opts = opts or SolverOptions()
     sub_opts = replace(opts, restarts=min(opts.restarts, 8))
     edge_masks = [_mask(e) for e in G.edges_array.tolist()]
+    screened = []  # (S, bound on lambda^(p)(G[S])) for each S its edges cover
+
+    def screen(S: tuple[int, ...], mask: int) -> None:
+        inside = _edges_inside(edge_masks, mask)
+        if inside is not None:
+            # the clique search on a large shadow can take exponential time
+            bound = _shadow_bound(G.r, inside, mask, p) if len(S) <= SUBGRAPH_LIMIT else math.inf
+            screened.append((S, bound))
+
     exhaustive = G.n <= SUBGRAPH_LIMIT
     if exhaustive:
         # every union of edges: fold in one edge at a time
@@ -613,18 +613,12 @@ def certificate_search_sub_r(
         for e in edge_masks:
             unions |= {u | e for u in unions}
         unions.discard(0)
-        candidates = sorted((_vertices(u), u) for u in unions)
+        for S, mask in sorted((_vertices(u), u) for u in unions):
+            screen(S, mask)
     else:
-        rng = np.random.default_rng(opts.seed)
-        heur = _pga_best(G, p, opts, rng)
-        candidates = [(heur.support, _mask(heur.support))] if heur.support else []
-    screened = []  # (S, bound on lambda^(p)(G[S])) for each S its edges cover
-    for S, mask in candidates:
-        inside = _edges_inside(edge_masks, mask)
-        if inside is not None:
-            # the clique search on a large shadow can take exponential time
-            bound = _shadow_bound(G.r, inside, mask, p) if len(S) <= SUBGRAPH_LIMIT else math.inf
-            screened.append((S, bound))
+        support = solve_p_spectral(G, p, opts).support
+        if support:
+            screen(support, _mask(support))
     best: tuple[tuple[int, ...], SpectralResult] | None = None
     tie_tol = 1e-9
     tried = pruned = 0
@@ -640,7 +634,7 @@ def certificate_search_sub_r(
             i += 1
         if not wave:
             break
-        for (S, bound), ascent in zip(wave, _pga_best(G, p, sub_opts, None, 5000, wave)):
+        for (S, bound), ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, wave)):
             if best is not None and bound <= best[1].lam + tie_tol / 2:
                 pruned += 1
                 continue
@@ -651,7 +645,11 @@ def certificate_search_sub_r(
                 continue  # not even the polish could lift it past the best
             res = _pga_result(G, p, opts.tol, *ascent)
             x = res.x.values[list(S)]
-            if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= POSITIVE_SHARE * x.max():
+            positive = x > POSITIVE_SHARE * x.max()
+            if not (exhaustive or positive.all()):
+                T = tuple(np.asarray(S)[positive].tolist())
+                screen(T, _mask(T))  # the winner's positive part, a smaller candidate
+            if res.residual > max(opts.tol, 1e-9) * 100 or not positive.all():
                 continue
             if best is None or res.lam > best[1].lam + tie_tol:
                 best = (S, res)

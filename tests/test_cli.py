@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import grid_lambda, random_connected
-from uhs.cli import main
+from uhs.cli import _solver_options, build_parser, main
 from uhs.constructions import star_g2, two_triangles_path
 from uhs.core import UniformHypergraph, load_hypergraph, serialize_hypergraph
-from uhs.solver import solve_p_spectral, solver_certificate
+from uhs.labeling import DEFAULT_TOL
+from uhs.solver import SolverOptions, solve_p_spectral, solver_certificate
 
 
 @pytest.fixture()
@@ -314,6 +315,28 @@ def test_sweep_json_checks(fixture_dir, capsys):
     assert len(payload["curve"]["lambda"]) == 4
 
 
+def test_sweep_below_r_writes_strict_json(fixture_dir, capsys):
+    # f is undefined for p < r: null, not a bare NaN token
+    code, out = run_capture(
+        capsys, ["sweep", str(fixture_dir / "two_triangles_path.uhg"), "--grid", "1,1.25,1.5"]
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["curve"]["f"] == [None] * 3 and payload["curve"]["g"] == [None] * 3
+    assert payload["checks"][0]["details"] == {"g": "N/A (p < r)"}
+
+
+def test_parser_defaults_are_the_library_defaults():
+    for argv in (
+        ["solve", "g.uhg", "--p", "2"],
+        ["sweep", "g.uhg", "--grid", "2"],
+        ["certify-sub-r", "g.uhg", "--p", "1"],
+    ):
+        args = build_parser().parse_args(argv)
+        assert _solver_options(args) == SolverOptions()
+    assert build_parser().parse_args(["verify", "g.uhg", "--cert", "c"]).tol == DEFAULT_TOL
+
+
 def test_certify_sub_r(fixture_dir, capsys):
     code, out = run_capture(
         capsys,
@@ -328,6 +351,17 @@ def test_certify_sub_r(fixture_dir, capsys):
     assert payload["exhaustive"] is True
     # the second triangle's supports cannot beat 2/3, so the bound skips them
     assert payload["tried"] >= 1 and payload["pruned"] > 0
+
+
+def test_certify_sub_r_beyond_the_subgraph_limit(tmp_path, capsys):
+    # n = 60: the search shrinks the solve's support to a positive one
+    graph = tmp_path / "g.uhg"
+    graph.write_text(serialize_hypergraph(random_connected(np.random.default_rng(1), 2, 60, 200)))
+    code, out = run_capture(capsys, ["certify-sub-r", str(graph), "--p", "1"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["exhaustive"] is False and payload["lambda_hi"] is None
+    assert abs(payload["lambda"] - 0.75) <= 1e-9
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,11 +4,12 @@
 starts: the all-ones vector, the indicator of every edge and the random
 restarts.  `_pga_best` keeps only the first edge's indicator, since every
 indicator has the same P and residual bit for bit and the final pick
-breaks their tie toward the first.  It must reproduce the reference bit
-for bit.
+breaks their tie toward the first.  The solve, `_pga_best` on one group
+spanning G, must reproduce the reference bit for bit.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from uhs.solver import (
     STALL_WINDOW,
     SolverOptions,
     SpectralResult,
-    _pga_best,
     _pga_starts,
     _polish_critical,
     _residual,
@@ -97,7 +97,7 @@ def _reference_pga_best(G, p, opts, rng, max_iter=20000):
 
 
 def _assert_same(G, p, opts, max_iter=20000):
-    got = _pga_best(G, p, opts, np.random.default_rng(opts.seed), max_iter)
+    got = solve_p_spectral(G, p, replace(opts, max_iter=max_iter))
     ref = _reference_pga_best(G, p, opts, np.random.default_rng(opts.seed), max_iter)
     assert got.lam == ref.lam
     assert np.array_equal(got.x.values, ref.x.values)
@@ -173,7 +173,7 @@ def test_medium_instance_stops_once_its_value_stalls():
     # of 1e-14 over 10 steps ran it to 60 steps, and a 100-step window to
     # 200, for the same lambda up to the polish's rounding
     G = random_connected(np.random.default_rng(11), 3, 40, extra=60)
-    res = _pga_best(G, 2.5, SolverOptions(), np.random.default_rng(0))
+    res = solve_p_spectral(G, 2.5, SolverOptions())
     assert res.iterations <= 100
     assert res.converged
     assert abs(res.lam - 3.251504603658173) <= 1e-12
@@ -232,7 +232,7 @@ def test_twenty_steps_at_m_2000_stay_under_64_mib():
     # a step over all 2033 starts would hold 2033 x 2000 x 3 floats per array (93 MiB)
     G = _random_instance(3, 200, 2000, seed=1)
     opts = SolverOptions(max_iter=20)
-    _, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, opts, np.random.default_rng(0)))
+    _, peak = _traced_peak_mib(lambda: solve_p_spectral(G, 2.0, opts))
     assert peak <= 64.0
 
 
@@ -241,15 +241,15 @@ def test_one_step_at_m_10k_stays_under_48_mib():
     G = _random_instance(3, 500, 10_000, seed=1)
     opts = SolverOptions(max_iter=1)
     for H in (UniformHypergraph.from_edges(3, 3, [(0, 1, 2)]), G):
-        starts = _pga_starts(H, 2.0, opts, np.random.default_rng(0))
+        starts = _pga_starts(H, 2.0, opts, range(H.n))
         assert starts.shape == (2 + opts.restarts, H.n)
-    _, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, opts, np.random.default_rng(0)))
+    _, peak = _traced_peak_mib(lambda: solve_p_spectral(G, 2.0, opts))
     assert peak <= 48.0
 
 
 @pytest.mark.slow
 def test_large_sub_r_instance_converges_in_bounded_memory():
     G = _random_instance(3, 500, 10_000, seed=1)
-    res, peak = _traced_peak_mib(lambda: _pga_best(G, 2.0, SolverOptions(), np.random.default_rng(0)))
+    res, peak = _traced_peak_mib(lambda: solve_p_spectral(G, 2.0, SolverOptions()))
     assert res.converged
     assert peak <= 512.0

@@ -242,7 +242,7 @@ def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOption
         sub, _ = induced_subhypergraph(G, S)
         if sub.m == 0 or degrees(sub).delta == 0:
             continue
-        ascent = _pga_best(G, p, sub_opts, None, 5000, [(S, _lambda_bound(sub, p))])[0]
+        ascent = _pga_best(G, p, sub_opts, 5000, [(S, _lambda_bound(sub, p))])[0]
         res = _pga_result(G, p, opts.tol, *ascent)
         x = res.x.values[list(S)]
         if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= 1e-7 * x.max():
@@ -365,11 +365,11 @@ def test_wave_groups_match_their_own_ascent(G, p):
             screened.append((S, _shadow_bound(G.r, inside, mask, p)))
     wave = screened[:: max(1, len(screened) // 5)][:6] + screened[-1:]
     assert len(wave) >= 3
-    for (S, bound), got in zip(wave, _pga_best(G, p, opts, None, 5000, wave)):
-        alone = _pga_best(G, p, opts, None, 5000, [(S, bound)])[0]
+    for (S, bound), got in zip(wave, _pga_best(G, p, opts, 5000, wave)):
+        alone = _pga_best(G, p, opts, 5000, [(S, bound)])[0]
         assert np.array_equal(got[0], alone[0]) and got[1:] == alone[1:]
         sub, vmap = induced_subhypergraph(G, S)
-        ref = _pga_best(sub, p, opts, np.random.default_rng(opts.seed), 5000)
+        ref = solve_p_spectral(sub, p, replace(opts, max_iter=5000))
         res = _pga_result(G, p, opts.tol, *got)
         assert abs(res.lam - ref.lam) <= 1e-12
         assert res.support == tuple(vmap[v] for v in ref.support)
@@ -407,6 +407,22 @@ def test_certificate_search_beyond_the_subgraph_limit():
     assert not out.exhaustive and out.lam_hi is None
     assert out.S == heur.support and out.tried == 1 and out.pruned == 0
     assert abs(out.lam - heur.lam) <= 1e-9
+
+
+def test_certificate_search_beyond_the_limit_shrinks_to_a_positive_support():
+    # the solve on G ends at lambda 0.504 on 21 vertices, and the ascent on
+    # that support at a boundary point; the winners' positive parts lead to
+    # a strictly positive critical point at 1 - 1/omega = 3/4
+    G = random_connected(np.random.default_rng(1), 2, 60, 200)
+    out = certificate_search_sub_r(G, 1.0)
+    assert not out.exhaustive and out.lam_hi is None
+    assert _lambda_bound(G, 1.0) == 0.75  # Motzkin-Straus: omega = 4
+    assert abs(out.lam - 0.75) <= 1e-9
+    assert len(out.S) < len(solve_p_spectral(G, 1.0).support)
+    sub, _ = induced_subhypergraph(G, out.S)
+    x = eigenvector_from_labeling(sub, out.labeling).values
+    assert x.min() > 1e-7 * x.max()
+    assert abs(polynomial_form(sub, x) - out.lam) <= 1e-9
 
 
 def test_weight_system_star():
