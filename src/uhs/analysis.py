@@ -20,7 +20,7 @@ import numpy as np
 from ._kernels import edge_products
 from .constructions import extensions_enumerate, power_lambda
 from .core import UniformHypergraph, degrees
-from .errors import PreconditionError
+from .errors import PreconditionError, check_p
 from .solver import SUBGRAPH_LIMIT, SolverOptions, certificate_search_sub_r, solve_p_spectral
 
 CHECK_SLACK = 1e-7
@@ -37,20 +37,21 @@ def _pow_safe(base: float, q: float) -> float:
 
 
 def degree_bound(G: UniformHypergraph, p: float) -> float:
-    """Upper bound (r * sum_e prod_{v in e} d_v^{1/(p-r)})^{(p-r)/p}."""
-    if p <= G.r:
-        raise PreconditionError(f"degree bound requires p > r (got p={p}, r={G.r})")
+    """Upper bound (r * sum_e prod_{v in e} d_v^{1/(p-r)})^{(p-r)/p}, taken as
+    A^{1/p} (r sum_e (a_e/A)^{1/(p-r)})^{(p-r)/p} for a_e = prod_{v in e} d_v
+    and A = max_e a_e, which does not overflow as p approaches r from above."""
+    check_p(p, "p > r", "degree bound", G.r)
     if G.m == 0:
         raise PreconditionError("degree bound requires at least one edge")
-    d = degrees(G).degrees.astype(float)
-    total = float(edge_products(np.power(d[G.edges_array], 1.0 / (p - G.r))).sum())
-    return (G.r * total) ** ((p - G.r) / p)
+    a = edge_products(degrees(G).degrees.astype(float)[G.edges_array])
+    A = float(a.max())
+    total = float(np.power(a / A, 1.0 / (p - G.r)).sum())
+    return A ** (1.0 / p) * (G.r * total) ** ((p - G.r) / p)
 
 
 def simple_degree_bound(G: UniformHypergraph, p: float) -> float:
     """Upper bound (rm)^{1-r/p} * max_e prod_{v in e} d_v^{1/p}."""
-    if p <= G.r:
-        raise PreconditionError(f"degree bound requires p > r (got p={p}, r={G.r})")
+    check_p(p, "p > r", "degree bound", G.r)
     if G.m == 0:
         raise PreconditionError("degree bound requires at least one edge")
     d = degrees(G).degrees.astype(float)
@@ -61,8 +62,7 @@ def simple_degree_bound(G: UniformHypergraph, p: float) -> float:
 def weight_bounds(alpha: float, delta: int, Delta: int, r: int, p: float) -> tuple[float, float]:
     """Interval [(alpha*delta^r)^{1/(p-r)}, (alpha*Delta^r)^{1/(p-r)}] that
     contains every edge weight of a consistent normal labeling."""
-    if p <= r:
-        raise PreconditionError(f"weight bounds require p > r (got p={p}, r={r})")
+    check_p(p, "p > r", "weight bounds", r)
     if delta < 1:
         raise PreconditionError("weight bounds require minimum degree >= 1")
     return (alpha * delta**r) ** (1.0 / (p - r)), (alpha * Delta**r) ** (1.0 / (p - r))
@@ -73,7 +73,7 @@ class SweepCurve:
     p_grid: tuple[float, ...]
     lam: tuple[float, ...]
     f: tuple[float, ...]
-    g: tuple[float | None, ...]  # None when delta = 0 (lemma precondition fails)
+    g: tuple[float | None, ...]  # None for p < r, where g is undefined
     h: tuple[float, ...]
     ratio: tuple[float, ...]
     r: int
@@ -117,9 +117,11 @@ def sweep(
 ) -> SweepCurve:
     """Solver run per grid point plus the derived diagnostic curves."""
     grid = [float(p) for p in p_grid]
+    for p in grid:
+        check_p(p, "p >= 1", "each sweep point")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PreconditionError("p grid must be strictly increasing")
-    sub_mode = all(1 <= p < G.r for p in grid)
+    sub_mode = all(p < G.r for p in grid)
     if not sub_mode and any(p <= G.r for p in grid):
         raise PreconditionError("p grid must be entirely > r, or entirely in [1, r)")
     opts = opts or SolverOptions()
@@ -149,7 +151,7 @@ def sweep(
             continue
         q = p / (p - G.r)
         f.append(_pow_safe(lam / prof.Delta, q))
-        g.append(_pow_safe(lam / prof.delta, q) if prof.delta > 0 else None)
+        g.append(_pow_safe(lam / prof.delta, q))
     return SweepCurve(
         p_grid=tuple(grid),
         lam=tuple(lams),
@@ -171,13 +173,9 @@ def check_monotone_f_g(curve: SweepCurve, slack: float = CHECK_SLACK) -> CheckRe
     worst = 0.0
     for a, b in zip(curve.f, curve.f[1:]):
         worst = max(worst, a - b)
-    if all(gv is not None for gv in curve.g):
-        for a, b in zip(curve.g, curve.g[1:]):
-            worst = max(worst, b - a)
-        g_status = "checked"
-    else:
-        g_status = "N/A (isolated vertex)"
-    return CheckReport("monotone_f_g", worst <= slack, worst, {"g": g_status})
+    for a, b in zip(curve.g, curve.g[1:]):
+        worst = max(worst, b - a)
+    return CheckReport("monotone_f_g", worst <= slack, worst, {"g": "checked"})
 
 
 def check_ratio_monotone(curve: SweepCurve, slack: float = CHECK_SLACK) -> CheckReport:
@@ -221,8 +219,7 @@ def extension_sandwich_check(
 ) -> CheckReport:
     """Every extension H satisfies lower <= lambda^{(p+1)}(H) <= upper with
     the endpoints attained by the all-singletons and one-class partitions."""
-    if p <= G.r:
-        raise PreconditionError(f"extension check requires p > r (got p={p}, r={G.r})")
+    check_p(p, "p > r", "extension check", G.r)
     opts = opts or SolverOptions()
     r = G.r
     lam_p = solve_p_spectral(G, p, opts).lam

@@ -118,7 +118,7 @@ def _cmd_bound(args) -> int:
             "\n".join(f"{k} {v!r}" for k, v in sorted(payload.items())), args.output
         )
     else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     return EXIT_OK
 
 
@@ -194,7 +194,7 @@ def _cmd_certify_sub_r(args) -> int:
         "pruned": result.pruned,
         "certificate": json.loads(result.labeling.to_json()),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 
 from .core import UniformHypergraph
-from .errors import PreconditionError
+from .errors import PreconditionError, check_p
 
 
 def join(G1: UniformHypergraph, G2: UniformHypergraph) -> UniformHypergraph:
@@ -23,8 +23,7 @@ def join(G1: UniformHypergraph, G2: UniformHypergraph) -> UniformHypergraph:
 
 def join_lambda(lam1: float, lam2: float, r1: int, r2: int, p: float) -> float:
     """Closed-form radius of G1 * G2 from the operand radii (p > r1+r2)."""
-    if p <= r1 + r2:
-        raise PreconditionError(f"join formula requires p > r1+r2 (got p={p})")
+    check_p(p, "p > r", "join formula (r = r1 + r2)", r1 + r2)
     if lam1 <= 0 or lam2 <= 0:
         raise PreconditionError("operand radii must be positive")
     rs = r1 + r2
@@ -48,8 +47,7 @@ def direct_product(G1: UniformHypergraph, G2: UniformHypergraph) -> UniformHyper
 
 def product_lambda(lam1: float, lam2: float, r: int, p: float) -> float:
     """(r-1)! * lam1 * lam2; closed form for the direct product (p > r)."""
-    if p <= r:
-        raise PreconditionError(f"product formula requires p > r (got p={p})")
+    check_p(p, "p > r", "product formula", r)
     return math.factorial(r - 1) * lam1 * lam2
 
 
@@ -61,8 +59,7 @@ def generalized_power(G: UniformHypergraph) -> UniformHypergraph:
 
 def power_lambda(lam: float, r: int, p: float) -> float:
     """lambda^{(p+1)} of G^{r+1} given lambda^{(p)}(G) = lam (p > r)."""
-    if p <= r:
-        raise PreconditionError(f"power formula requires p > r (got p={p})")
+    check_p(p, "p > r", "power formula", r)
     return ((r + 1.0) / r) ** ((p - r) / (p + 1.0)) * lam ** (p / (p + 1.0))
 
 

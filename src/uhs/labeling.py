@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import edge_products
 from .core import UniformHypergraph, degrees
-from .errors import PreconditionError
+from .errors import PreconditionError, check_p
 
 DEFAULT_TOL = 1e-8
 JSON_BLOCK_ROWS = 4096  # rows of B (entries of w) encoded per piece of the certificate text
@@ -67,12 +67,11 @@ class Labeling:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "w", w)
         finite = np.isfinite(B).all() and np.isfinite(w).all()
-        if not (finite and math.isfinite(self.p) and math.isfinite(self.alpha)):
+        if not (finite and math.isfinite(self.alpha)):
             raise PreconditionError("labeling entries must be finite")
         if (B <= 0).any() or (w <= 0).any():
             raise PreconditionError("labeling entries must be positive")
-        if self.p < 1:
-            raise PreconditionError(f"p={self.p} must be >= 1")
+        check_p(self.p, "p >= 1", "a labeling")
         if self.alpha <= 0:
             raise PreconditionError(f"alpha={self.alpha} must be positive")
 
@@ -134,8 +133,7 @@ class LabelingVerdict:
 
 def lambda_from_alpha(alpha: float, r: int, p: float) -> float:
     """r^{1-r/p} * alpha^{-1/p}; inverse of alpha_from_lambda for p > r."""
-    if p <= r:
-        raise PreconditionError(f"lambda_from_alpha requires p > r (got p={p}, r={r})")
+    check_p(p, "p > r", "lambda_from_alpha", r)
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
     return r ** (1.0 - r / p) * alpha ** (-1.0 / p)
@@ -212,11 +210,9 @@ def classify_labeling(
 
     At p = r the edge condition is prod B(v,e) = alpha (Lu-Man).
     """
-    if L.p < G.r:
-        raise PreconditionError(
-            f"classify_labeling requires p >= r (got p={L.p}, r={G.r}); "
-            "use classify_labeling_sub_r for 1 <= p < r"
-        )
+    check_p(
+        L.p, "p >= r", "classify_labeling", G.r, "; use classify_labeling_sub_r for 1 <= p < r"
+    )
     _check_tol(tol)
     res = condition_residuals(G, L.B, L.w, L.p, L.alpha)
     ws, rows, edges = res["weight_sum"], res["rows"], res["edges"]
@@ -255,10 +251,7 @@ def classify_labeling_sub_r(
     Conditions: row sums at most 1, and m^{r-p} * prod_{v in e} B(v,e)
     at least alpha on every edge.
     """
-    if not (1 <= p < G.r):
-        raise PreconditionError(
-            f"classify_labeling_sub_r requires 1 <= p < r (got p={p}, r={G.r})"
-        )
+    check_p(p, "1 <= p < r", "classify_labeling_sub_r", G.r)
     _check_tol(tol)
     B = np.asarray(B, dtype=float)
     if B.shape != (G.m, G.r):

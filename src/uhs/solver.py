@@ -19,7 +19,7 @@ import numpy as np
 from ._kernels import _leave_one_out, polynomial_sum, support_sums
 from ._kernels import support_sums as batch_support_sums  # own name: perfbench times batch calls apart
 from .core import UniformHypergraph, degrees, induced_subhypergraph
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PreconditionError, check_p
 from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_residual
 
 
@@ -453,8 +453,7 @@ def solve_p_spectral(
     boundary, so the support is reported and convergence means the best
     restart satisfied the eigenequation residual on its support.
     """
-    if p < 1:
-        raise PreconditionError(f"p={p} must be >= 1")
+    check_p(p, "p >= 1", "the solve")
     opts = opts or SolverOptions()
     if G.m == 0:
         return _empty_result(G, p)
@@ -545,7 +544,8 @@ def _shadow_bound(r: int, inside: list[int], S: int, p: float) -> float:
 
 def _lambda_bound(H: UniformHypergraph, p: float) -> float:
     """Upper bound on lambda^(p)(H) for p >= 1 and m >= 1 edges: the
-    2-shadow clique bound of `_shadow_bound` on all of H."""
+    2-shadow clique bound of `_shadow_bound` on all of H, against which the
+    tests check the exhaustive search's lam_hi."""
     return _shadow_bound(H.r, [_mask(e) for e in H.edges_array.tolist()], (1 << H.n) - 1, p)
 
 
@@ -586,12 +586,12 @@ def certificate_search_sub_r(
     ascent value, moved by twice the most the polish accepts, would beat
     the best by tie_tol; else it cannot win.  G[S] and its labeling are
     built for the final S alone.  lam_hi, set when the search is
-    exhaustive, is the bound on all of G: a maximizer's support leaves no
-    vertex of its induced sub-hypergraph isolated, so it is a candidate,
-    and the bound grows with the candidate.
+    exhaustive, is the largest candidate bound, that of the union of all
+    edges: a maximizer's support leaves no vertex of its induced
+    sub-hypergraph isolated, so it is a candidate, and the bound grows
+    with the candidate.
     """
-    if not (1 <= p < G.r):
-        raise PreconditionError(f"certificate search requires 1 <= p < r (got p={p}, r={G.r})")
+    check_p(p, "1 <= p < r", "certificate search", G.r)
     if G.m == 0:
         raise PreconditionError("hypergraph has no edges")
     opts = opts or SolverOptions()
@@ -616,15 +616,15 @@ def certificate_search_sub_r(
         for S, mask in sorted((_vertices(u), u) for u in unions):
             screen(S, mask)
     else:
-        support = solve_p_spectral(G, p, opts).support
-        if support:
-            screen(support, _mask(support))
+        support = solve_p_spectral(G, p, opts).support  # never empty: x is a unit vector
+        screen(support, _mask(support))
     best: tuple[tuple[int, ...], SpectralResult] | None = None
+    lam_best = -math.inf
     tie_tol = 1e-9
     tried = pruned = 0
     i = 0
     while i < len(screened):
-        floor = -math.inf if best is None else best[1].lam + tie_tol / 2
+        floor = lam_best + tie_tol / 2
         wave = []
         while i < len(screened) and len(wave) < WAVE:
             if screened[i][1] <= floor:
@@ -635,13 +635,13 @@ def certificate_search_sub_r(
         if not wave:
             break
         for (S, bound), ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, wave)):
-            if best is not None and bound <= best[1].lam + tie_tol / 2:
+            if bound <= lam_best + tie_tol / 2:
                 pruned += 1
                 continue
             tried += 1
             lam0 = ascent[1]
             reach = lam0 + 2 * POLISH_DRIFT * max(1.0, lam0)
-            if best is not None and reach <= best[1].lam + tie_tol:
+            if reach <= lam_best + tie_tol:
                 continue  # not even the polish could lift it past the best
             res = _pga_result(G, p, opts.tol, *ascent)
             x = res.x.values[list(S)]
@@ -651,8 +651,8 @@ def certificate_search_sub_r(
                 screen(T, _mask(T))  # the winner's positive part, a smaller candidate
             if res.residual > max(opts.tol, 1e-9) * 100 or not positive.all():
                 continue
-            if best is None or res.lam > best[1].lam + tie_tol:
-                best = (S, res)
+            if res.lam > lam_best + tie_tol:
+                best, lam_best = (S, res), res.lam
     if best is None:
         raise ConvergenceError(
             "no induced sub-hypergraph with a strictly positive critical point was found"
@@ -661,7 +661,7 @@ def certificate_search_sub_r(
     sub, vmap = induced_subhypergraph(G, S)
     labeling = labeling_from_eigenvector(sub, PVector(values=res.x.values[vmap], p=p), res.lam)
     # where the bound is tight, rounding can put lam an ulp above it
-    lam_hi = max(_lambda_bound(G, p), res.lam) if exhaustive else None
+    lam_hi = max(res.lam, *(bound for _, bound in screened)) if exhaustive else None
     return CertificateSearchResult(
         S=S,
         labeling=labeling,
@@ -687,9 +687,8 @@ def solve_weight_system(
     the normalization that all edge weights sum to 1.  The expanded
     weight vector is validated against the full per-edge system.
     """
+    check_p(p, "p > r", "weight system", G.r)
     opts = opts or SolverOptions()
-    if p <= G.r:
-        raise PreconditionError(f"weight system requires p > r (got p={p}, r={G.r})")
     seen = sorted(k for cls in orbits for k in cls)
     if seen != list(range(G.m)):
         raise PreconditionError("orbits must partition the edge index set")
@@ -737,11 +736,9 @@ def solve_weight_system(
 
 def compose_components(lams: Sequence[float], p: float, r: int) -> float:
     """(sum lam_i^{p/(p-r)})^{(p-r)/p}; the p > r disjoint-union rule."""
-    if p <= r:
-        raise PreconditionError(
-            f"component composition requires p > r (got p={p}, r={r}); "
-            "use compose_components_max for 1 <= p <= r"
-        )
+    check_p(
+        p, "p > r", "component composition", r, "; use compose_components_max for 1 <= p <= r"
+    )
     if any(l <= 0 for l in lams):
         raise PreconditionError("component values must be positive")
     q = p / (p - r)

@@ -8,6 +8,7 @@ from helpers import grid_lambda, random_connected
 from uhs.cli import _solver_options, build_parser, main
 from uhs.constructions import star_g2, two_triangles_path
 from uhs.core import UniformHypergraph, load_hypergraph, serialize_hypergraph
+from uhs.errors import ConvergenceError
 from uhs.labeling import DEFAULT_TOL
 from uhs.solver import SolverOptions, solve_p_spectral, solver_certificate
 
@@ -384,6 +385,72 @@ def test_invalid_p_exits_2(fixture_dir, tmp_path, capsys):
     for p in ("0.5", "-1"):
         code, out = run_capture(capsys, ["verify", star, "--cert", str(cert), "--p", p])
         assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv", [["solve", "--p={}"], ["bound", "--p={}"], ["sweep", "--grid=4,{}"]]
+)
+def test_non_finite_p_exits_2_before_any_solve(fixture_dir, capsys, monkeypatch, argv, p):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an engine ran at a non-finite p")
+
+    monkeypatch.setattr("uhs.solver._solve_fixed_point", no_solve)
+    monkeypatch.setattr("uhs.solver._pga_best", no_solve)
+    graph = str(fixture_dir / "star_g2.uhg")
+    code, out = run_capture(capsys, [argv[0], graph, argv[1].format(p)])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "graph, p, limit", [("star_g2", "3.000001", 2.0), ("grid_g1", "4.0001", 4.0)]
+)
+def test_bound_just_above_r_is_finite_strict_json(fixture_dir, capsys, graph, p, limit):
+    # the bound tends to max_e prod_{v in e} d_v^{1/r} as p falls to r: 8^{1/3} and 256^{1/4}
+    code, out = run_capture(capsys, ["bound", str(fixture_dir / f"{graph}.uhg"), "--p", p])
+    assert code == 0
+    payload = _strict_json(out)
+    assert limit <= payload["degree_bound"] <= min(payload["simple_degree_bound"], limit + 1e-3)
+
+
+def test_bound_text_output(fixture_dir, capsys):
+    code, out = run_capture(
+        capsys, ["bound", str(fixture_dir / "grid_g1.uhg"), "--p", "6", "--format", "text"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["degree_bound", "simple_degree_bound"]
+    assert float(lines[0].split()[1]) >= grid_lambda(6.0) - 1e-10
+
+
+def test_verify_text_output(fixture_dir, tmp_path, capsys):
+    star = str(fixture_dir / "star_g2.uhg")
+    cert = tmp_path / "cert.json"
+    argv = ["solve", star, "--p", "4", "--emit-cert", str(cert), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    code, out = run_capture(capsys, ["verify", star, "--cert", str(cert), "--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["class", "normal"] and lines[1].split() == ["consistent", "True"]
+    assert lines[2].startswith("residuals ") and "row_max_abs" in json.loads(lines[2][10:])
+
+
+def test_sweep_exits_3_when_a_point_does_not_converge(fixture_dir, capsys):
+    argv = ["sweep", str(fixture_dir / "star_g2.uhg"), "--grid", "4,5", "--max-iter", "2"]
+    code, out = run_capture(capsys, argv)
+    assert code == 3
+    assert len(_strict_json(out)["curve"]["lambda"]) == 2
+
+
+def test_convergence_error_exits_3(fixture_dir, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("no certificate")
+
+    monkeypatch.setattr("uhs.cli.certificate_search_sub_r", fail)
+    graph = str(fixture_dir / "two_triangles_path.uhg")
+    assert main(["certify-sub-r", graph, "--p", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no certificate\n"
 
 
 @pytest.mark.parametrize(
