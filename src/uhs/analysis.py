@@ -61,11 +61,13 @@ def simple_degree_bound(G: UniformHypergraph, p: float) -> float:
 
 def weight_bounds(alpha: float, delta: int, Delta: int, r: int, p: float) -> tuple[float, float]:
     """Interval [(alpha*delta^r)^{1/(p-r)}, (alpha*Delta^r)^{1/(p-r)}] that
-    contains every edge weight of a consistent normal labeling."""
+    contains every edge weight of a consistent normal labeling.  Near p = r
+    an end saturates to inf, or to 0.0 when its base is below 1."""
     check_p(p, "p > r", "weight bounds", r)
     if delta < 1:
         raise PreconditionError("weight bounds require minimum degree >= 1")
-    return (alpha * delta**r) ** (1.0 / (p - r)), (alpha * Delta**r) ** (1.0 / (p - r))
+    q = 1.0 / (p - r)
+    return _pow_safe(alpha * delta**r, q), _pow_safe(alpha * Delta**r, q)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ def sweep(
     sub_mode = all(p < G.r for p in grid)
     if not sub_mode and any(p <= G.r for p in grid):
         raise PreconditionError("p grid must be entirely > r, or entirely in [1, r)")
+    if G.m == 0:
+        raise PreconditionError("hypergraph has no edges")
     opts = opts or SolverOptions()
     prof = degrees(G)
     if not sub_mode and prof.delta == 0:

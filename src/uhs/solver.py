@@ -96,7 +96,9 @@ class SpectralResult:
 @dataclass(frozen=True)
 class CertificateSearchResult:
     """The certificate found, with the search counts: `tried` supports were
-    optimized and `pruned` were skipped by their bound on lambda.
+    optimized and `pruned` were skipped by their bound on lambda, or left
+    when the search stopped.  The counts follow the visiting order, largest
+    bound first; S and lam are those of a visit in lexicographic order.
 
     lam is a lower bound on lambda^(p)(G); lam_hi, set by the exhaustive
     search only, is an upper bound.
@@ -564,32 +566,47 @@ def certificate_search_sub_r(
     bitmasks: the edges of G[S] are those with no vertex outside S, and S
     is skipped when they do not cover it.
 
-    Each remaining candidate is optimized by `_pga_best`, whose starts
-    include an edge indicator, a boundary point.  Where that indicator ties
-    a strictly positive critical point, `_pga_best` returns the positive
-    one; only strictly positive critical points are kept.  The first
-    support that beats the running best by more than tie_tol wins, so ties
-    in lambda go to the lexicographically smallest vertex set.  A support
-    whose 2-shadow clique bound (`_shadow_bound` on the edges of G[S]) is
-    at most best + tie_tol/2 is skipped unoptimized.  Its PGA or polish
-    value exceeds lambda(G[S]) only by the polish's norm error, at most
-    lambda * (r/p) * 0.01 * tol, which is below tie_tol/2 while
-    lambda * r/p < 500 at the default tol.  So it could not have beaten the
-    running best by tie_tol, and skipping it changes neither S nor lambda.
+    Each candidate is optimized by `_pga_best`, whose starts include an
+    edge indicator, a boundary point.  Where that indicator ties a strictly
+    positive critical point, `_pga_best` returns the positive one; only
+    strictly positive critical points are kept.  The result is the replay
+    of the kept supports in lexicographic order, where a support replaces
+    the running best only when it beats it by more than tie_tol: ties in
+    lambda go to the lexicographically smallest vertex set.
 
-    The candidates are ascended in waves: the next WAVE whose bound beats
-    the best at the start of the wave, as masked groups of one batch on G,
-    each stopping once it reaches its bound (a candidate of more than
-    SUBGRAPH_LIMIT vertices gets none).  The wave is then replayed in order
-    with the rules above, so S, lambda, `tried` and `pruned` are those of
-    one candidate at a time.  A tried support is polished only when its
-    ascent value, moved by twice the most the polish accepts, would beat
-    the best by tie_tol; else it cannot win.  G[S] and its labeling are
-    built for the final S alone.  lam_hi, set when the search is
-    exhaustive, is the largest candidate bound, that of the union of all
-    edges: a maximizer's support leaves no vertex of its induced
-    sub-hypergraph isolated, so it is a candidate, and the bound grows
-    with the candidate.
+    The search visits the candidates by their 2-shadow clique bound
+    (`_shadow_bound` on the edges of G[S]), largest first; equal bounds
+    keep lexicographic order.  A PGA or polish value exceeds lambda(G[S])
+    only by the polish's norm error, at most lambda * (r/p) * 0.01 * tol,
+    which is below tie_tol/2 while lambda * r/p < 500 at the default tol;
+    so a candidate's value is below its bound + tie_tol/2, its top.  Two
+    facts about the replay decide what can still change it.  After a kept
+    support E the running best is at least lambda_E - tie_tol, so a later
+    support can replace it only with a larger lambda.  And the kept values
+    reached down from the largest in steps of at most tie_tol form a
+    cluster whose first member in the replay always takes the lead, which
+    no value more than tie_tol below the cluster's floor can take back:
+    the replay is that of the cluster alone.  So a candidate is skipped
+    unoptimized (`pruned`) when its top is at most its bar: the largest
+    lambda kept ahead of it in lexicographic order, or, when no candidate
+    still open ahead of it can reach the cluster of the supports kept
+    ahead of it, their replay's running best plus tie_tol, the test of a
+    visit in lexicographic order.  The search stops once a top is at most
+    the floor of the kept cluster less tie_tol, as no later candidate can
+    join it.  A tried support is polished only when its ascent value,
+    moved by twice the most the polish accepts, exceeds its bar.  So S and
+    lambda are those of the lexicographic search; only `tried` and
+    `pruned` depend on the order, and the bound order tries fewer.
+
+    The candidates are ascended in waves: the next WAVE that can still
+    change the result, as masked groups of one batch on G, each stopping
+    once it reaches its bound (a candidate of more than SUBGRAPH_LIMIT
+    vertices gets none).  The wave is then taken one candidate at a time
+    with the rules above.  G[S] and its labeling are built for the final S
+    alone.  lam_hi, set when the search is exhaustive, is the largest
+    candidate bound, that of the union of all edges: a maximizer's support
+    leaves no vertex of its induced sub-hypergraph isolated, so it is a
+    candidate, and the bound grows with the candidate.
     """
     check_p(p, "1 <= p < r", "certificate search", G.r)
     if G.m == 0:
@@ -618,50 +635,98 @@ def certificate_search_sub_r(
     else:
         support = solve_p_spectral(G, p, opts).support  # never empty: x is a unit vector
         screen(support, _mask(support))
-    best: tuple[tuple[int, ...], SpectralResult] | None = None
-    lam_best = -math.inf
+    # largest bound first; the stable sort keeps lexicographic order among
+    # equal bounds, and past the limit the candidates keep their discovery order
+    queue = sorted(range(len(screened)), key=lambda k: -screened[k][1])
+    # a candidate's rank is its index in screened; below[k] is the largest
+    # bound less than candidate k's (-inf for none)
+    below: dict[int, float] = {}
+    for a, b in reversed(list(zip(queue, queue[1:]))):
+        below[a] = screened[b][1] if screened[b][1] < screened[a][1] else below.get(b, -math.inf)
     tie_tol = 1e-9
+    kept: list[tuple[int, tuple[int, ...], SpectralResult]] = []  # (rank, S, result), by rank
     tried = pruned = 0
+
+    def replay(entries):
+        """(winner, lambda) of the entries taken in rank order, where each
+        that beats the running best by more than tie_tol replaces it."""
+        best, lam = None, -math.inf
+        for entry in entries:
+            if entry[2].lam > lam + tie_tol:
+                best, lam = entry, entry[2].lam
+        return best, lam
+
+    def floor(entries) -> float:
+        """The least lambda reached down from the largest of the entries in
+        steps of at most tie_tol.  Nothing more than tie_tol below it
+        changes their replay."""
+        low = -math.inf
+        for lam in sorted((res.lam for _, _, res in entries), reverse=True):
+            if lam < low - tie_tol:
+                break
+            low = lam
+        return low
+
+    def bar(rank: int, pending=()) -> float:
+        """A candidate of this rank changes the result only with a larger
+        lambda; `pending` holds the ranks of the wave not yet tried, and
+        every other open candidate has a bound of at most below[rank] or an
+        equal bound and a larger rank."""
+        before = [entry for entry in kept if entry[0] < rank]
+        if below.get(rank, -math.inf) + tie_tol / 2 <= floor(before) - tie_tol and all(
+            k > rank for k in pending
+        ):
+            return replay(before)[1] + tie_tol  # the replay up to this rank is final
+        # after each kept entry the running best is at least its lambda - tie_tol
+        return max((res.lam for _, _, res in before), default=-math.inf)
+
     i = 0
-    while i < len(screened):
-        floor = lam_best + tie_tol / 2
+    while i < len(queue):
         wave = []
-        while i < len(screened) and len(wave) < WAVE:
-            if screened[i][1] <= floor:
+        while i < len(queue) and len(wave) < WAVE:
+            rank = queue[i]
+            top = screened[rank][1] + tie_tol / 2  # lambda(G[S]) is below this
+            if top <= floor(kept) - tie_tol:
+                break  # the bounds descend: no candidate left can matter
+            i += 1
+            if top <= bar(rank, wave):
                 pruned += 1
             else:
-                wave.append(screened[i])
-            i += 1
+                wave.append(rank)
         if not wave:
+            pruned += len(queue) - i
             break
-        for (S, bound), ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, wave)):
-            if bound <= lam_best + tie_tol / 2:
+        for rank, ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, [screened[k] for k in wave])):
+            S, bound = screened[rank]
+            need = bar(rank)
+            if bound + tie_tol / 2 <= max(need, floor(kept) - tie_tol):
                 pruned += 1
                 continue
             tried += 1
             lam0 = ascent[1]
-            reach = lam0 + 2 * POLISH_DRIFT * max(1.0, lam0)
-            if reach <= lam_best + tie_tol:
-                continue  # not even the polish could lift it past the best
+            if lam0 + 2 * POLISH_DRIFT * max(1.0, lam0) <= need:
+                continue  # not even the polish could lift it past the bar
             res = _pga_result(G, p, opts.tol, *ascent)
             x = res.x.values[list(S)]
             positive = x > POSITIVE_SHARE * x.max()
             if not (exhaustive or positive.all()):
                 T = tuple(np.asarray(S)[positive].tolist())
                 screen(T, _mask(T))  # the winner's positive part, a smaller candidate
+                queue.extend(range(len(queue), len(screened)))
             if res.residual > max(opts.tol, 1e-9) * 100 or not positive.all():
                 continue
-            if res.lam > lam_best + tie_tol:
-                best, lam_best = (S, res), res.lam
-    if best is None:
+            kept.append((rank, S, res))
+            kept.sort(key=lambda entry: entry[0])
+    winner = replay(kept)[0]
+    if winner is None:
         raise ConvergenceError(
             "no induced sub-hypergraph with a strictly positive critical point was found"
         )
-    S, res = best
+    _, S, res = winner
     sub, vmap = induced_subhypergraph(G, S)
     labeling = labeling_from_eigenvector(sub, PVector(values=res.x.values[vmap], p=p), res.lam)
     # where the bound is tight, rounding can put lam an ulp above it
-    lam_hi = max(res.lam, *(bound for _, bound in screened)) if exhaustive else None
+    lam_hi = max(res.lam, screened[queue[0]][1]) if exhaustive else None
     return CertificateSearchResult(
         S=S,
         labeling=labeling,

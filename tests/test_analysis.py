@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,26 @@ def test_bound_gates():
         weight_bounds(0.5, 1, 2, 3, 3.0)
     with pytest.raises(PreconditionError):
         weight_bounds(0.5, 0, 2, 3, 5.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, delta, Delta, expected",
+    [(1.0, 2, 3, (math.inf, math.inf)), (0.1, 1, 3, (0.0, math.inf)), (0.01, 1, 2, (0.0, 0.0))],
+)
+def test_weight_bounds_saturate_just_above_r(alpha, delta, Delta, expected):
+    # the exponent 1/(p - r) is 1e6: a base above 1 saturates to inf, one below to 0
+    assert weight_bounds(alpha, delta, Delta, 3, 3.000001) == expected
+
+
+def test_sweep_rejects_an_edgeless_hypergraph_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on an edgeless hypergraph")
+
+    monkeypatch.setattr("uhs.analysis.solve_p_spectral", no_solve)
+    monkeypatch.setattr("uhs.analysis.certificate_search_sub_r", no_solve)
+    for n, grid in ((25, [1.5, 2.0]), (5, [1.5, 2.0]), (25, [4.0, 5.0])):
+        with pytest.raises(PreconditionError, match="hypergraph has no edges"):
+            sweep(UniformHypergraph.from_edges(3, n, []), grid)
 
 
 def test_weight_bounds_contain_certificate_weights():

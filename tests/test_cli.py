@@ -402,6 +402,15 @@ def test_non_finite_p_exits_2_before_any_solve(fixture_dir, capsys, monkeypatch,
     assert code == 2 and out == ""
 
 
+def test_sweep_of_an_edgeless_hypergraph_exits_2(tmp_path, capsys):
+    # past SUBGRAPH_LIMIT the p < r sweep solves on G, which has no edges
+    graph = tmp_path / "empty.uhg"
+    graph.write_text(serialize_hypergraph(UniformHypergraph.from_edges(3, 25, [])))
+    assert main(["sweep", str(graph), "--grid", "1.5,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: hypergraph has no edges\n"
+
+
 @pytest.mark.parametrize(
     "graph, p, limit", [("star_g2", "3.000001", 2.0), ("grid_g1", "4.0001", 4.0)]
 )

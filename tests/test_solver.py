@@ -17,9 +17,15 @@ from uhs.constructions import (
 )
 from uhs.core import UniformHypergraph, degrees, induced_subhypergraph
 from uhs.errors import PreconditionError
-from uhs.labeling import alpha_from_lambda, classify_labeling, eigenvector_from_labeling
+from uhs.labeling import (
+    PVector,
+    alpha_from_lambda,
+    classify_labeling,
+    eigenvector_from_labeling,
+)
 from uhs.solver import (
     SolverOptions,
+    SpectralResult,
     _edges_inside,
     _lambda_bound,
     _mask,
@@ -269,11 +275,24 @@ def _parity_instances():
     return out
 
 
+def _random_instances():
+    """30 random instances: r in {2, 3, 4}, n <= 7, p from 1 up to r - 0.5."""
+    rng = np.random.default_rng(29)
+    out = []
+    for i in range(30):
+        r = (2, 3, 4)[i % 3]
+        n = int(rng.integers(r + 1, 8))
+        G = random_connected(rng, r, n, int(rng.integers(0, n)))
+        out.append((G, float(rng.choice(np.arange(1.0, r - 0.25, 0.5)))))
+    return out
+
+
 def test_certificate_search_matches_the_unpruned_search():
     star = UniformHypergraph.from_edges(2, 3, [(0, 2), (1, 2)])
     ties = [(two_triangles_path(), 1.0), (_cycle(4), 1.0), (_cycle(4), 1.5), (star, 1.0)]
+    ties.append((_edge_and_shared_pair(), 2.0))
     opts = SolverOptions()
-    for G, p in ties + _parity_instances():
+    for G, p in ties + _parity_instances() + _random_instances():
         out = certificate_search_sub_r(G, p, opts)
         assert (out.S, out.lam) == _plain_certificate_search(G, p, opts)
         assert out.lam <= out.lam_hi == max(_lambda_bound(G, p), out.lam)
@@ -282,6 +301,156 @@ def test_certificate_search_matches_the_unpruned_search():
     assert certificate_search_sub_r(star, 1.0).S == (0, 1, 2)
     star_and_edge = UniformHypergraph.from_edges(2, 5, [(0, 2), (1, 2), (3, 4)])
     assert certificate_search_sub_r(star_and_edge, 1.0).S == (0, 1, 2)
+
+
+def _recording(monkeypatch, waves):
+    """Patch the search's `_pga_best` to append each call's (S, bound) groups."""
+    import uhs.solver
+
+    def recording(G, p, opts, max_iter, groups):
+        waves.append(list(groups))
+        return _pga_best(G, p, opts, max_iter, groups)
+
+    monkeypatch.setattr(uhs.solver, "_pga_best", recording)
+
+
+def _edge_and_shared_pair() -> UniformHypergraph:
+    """The 4-graph of an edge (0, 1, 2, 3) and two edges on (4, ..., 9) that
+    share a pair: at p = 2 each edge and (4, ..., 9) reach 1/4 at a strictly
+    positive point, and (0, 1, 2, 3) has the smaller bound."""
+    return UniformHypergraph.from_edges(4, 10, [(0, 1, 2, 3), (4, 5, 6, 7), (4, 5, 8, 9)])
+
+
+def test_tie_goes_to_the_first_support_when_its_bound_is_smaller(monkeypatch):
+    # (4, ..., 9) is ascended before (0, 1, 2, 3) and ties it; the tie still
+    # goes to the lexicographically first
+    G = _edge_and_shared_pair()
+    waves = []
+    _recording(monkeypatch, waves)
+    out = certificate_search_sub_r(G, 2.0)
+    bounds = dict(group for wave in waves for group in wave)
+    rival = (4, 5, 6, 7, 8, 9)
+    assert bounds[(0, 1, 2, 3)] == 0.25 < bounds[rival]
+    assert list(bounds).index(rival) < list(bounds).index((0, 1, 2, 3))
+    sub, _ = induced_subhypergraph(G, rival)
+    assert abs(solve_p_spectral(sub, 2.0).lam - 0.25) <= 1e-12
+    assert out.S == (0, 1, 2, 3) and out.lam == 0.25
+
+
+def _screened(G: UniformHypergraph, p: float):
+    """The exhaustive search's candidates with their bounds, in lexicographic order."""
+    edge_masks = [_mask(e) for e in G.edges_array.tolist()]
+    unions = {0}
+    for e in edge_masks:
+        unions |= {u | e for u in unions}
+    out = []
+    for S, mask in sorted((_vertices(u), u) for u in unions if u):
+        inside = _edges_inside(edge_masks, mask)
+        if inside is not None:
+            out.append((S, _shadow_bound(G.r, inside, mask, p)))
+    return out
+
+
+def test_search_ascends_by_bound_and_stops_below_the_best(monkeypatch):
+    instances = _random_instances()[:12] + [(k_r_r(3), 1.5), (two_triangles_path(), 1.0)]
+    cut_short = 0
+    for G, p in instances:
+        waves = []
+        _recording(monkeypatch, waves)
+        out = certificate_search_sub_r(G, p)
+        screened = _screened(G, p)
+        bounds = [bound for wave in waves for _, bound in wave]
+        assert bounds == sorted(bounds, reverse=True)  # across and within waves
+        assert len(bounds) >= out.tried
+        assert out.tried + out.pruned == len(screened)
+        # once the best is kept, no wave starts more than 2 tie_tol under it:
+        # a wave formed before may still hold such supports
+        assert all(wave[0][1] > out.lam - 2e-9 for wave in waves)
+        cut_short += bounds[-1] > min(bound for _, bound in screened)
+    assert cut_short >= 5
+
+
+def _synthetic_search(monkeypatch, values, waves=None):
+    """Patch the search to read each candidate's (lambda, bound, kept) from
+    `values` by vertex mask: no ascent, and a polish that lifts lambda by
+    5e-5, within what it may.  A support that is not kept gets a zero
+    entry.  Each wave's supports are appended to `waves`, if given."""
+    import uhs.solver
+
+    def ascent(G, p, opts, max_iter, groups):
+        if waves is not None:
+            waves.append([S for S, _ in groups])
+        out = []
+        for S, _ in groups:
+            lam, _, kept = values[_mask(S)]
+            x = np.zeros(G.n)
+            x[list(S)] = 1.0
+            x[S[0]] = 1.0 if kept else 0.0
+            out.append((x, lam - 5e-5, 1.0, 1))
+        return out
+
+    def result(G, p, tol, x, lam, residual, iterations):
+        support = tuple(np.flatnonzero(x).tolist())
+        return SpectralResult(lam + 5e-5, PVector(x, p), 0.0, iterations, True, support)
+
+    monkeypatch.setattr(uhs.solver, "_shadow_bound", lambda r, inside, S, p: values[S][1])
+    monkeypatch.setattr(uhs.solver, "_pga_best", ascent)
+    monkeypatch.setattr(uhs.solver, "_pga_result", result)
+    monkeypatch.setattr(uhs.solver, "labeling_from_eigenvector", lambda sub, x, lam: None)
+
+
+def _lexicographic_replay(values, tie_tol=1e-9):
+    best, lam_best = None, -math.inf
+    for S in sorted(_vertices(mask) for mask in values):
+        lam, _, kept = values[_mask(S)]
+        if kept and lam > lam_best + tie_tol:
+            best, lam_best = S, lam
+    return best, lam_best
+
+
+def test_search_replays_near_tie_chains_in_lexicographic_order(monkeypatch):
+    # synthetic lambdas and bounds in chains of near-ties, 0.4 tie_tol
+    # apart, where the lexicographic replay's winner can hang on a low
+    # member of a chain: the bound order must still give that winner
+    rng = np.random.default_rng(31)
+    G = random_connected(rng, 2, 6, 4)
+    values = {}
+    _synthetic_search(monkeypatch, values)
+    tie_tol = 1e-9
+    checked = 0
+    for _ in range(300):
+        for S, _ in _screened(G, 1.0):
+            lam = 0.5 + 0.4 * tie_tol * int(rng.integers(0, 12)) if rng.random() < 0.7 else 0.3
+            slack = tie_tol * float(rng.choice([-0.4, -0.2, 0.0, 0.2, 0.5, 1.0, 1e6]))
+            values[_mask(S)] = (lam, lam + slack, rng.random() < 0.8)
+        best = _lexicographic_replay(values)
+        if best[0] is not None:
+            out = certificate_search_sub_r(G, 1.0)
+            assert (out.S, out.lam) == best
+            checked += 1
+    assert checked >= 250
+
+
+def test_search_waits_for_the_wave_ahead_of_a_candidate(monkeypatch):
+    # E is kept in the first wave; P and C share the second, P ahead of C in
+    # lexicographic order.  Before P is tried, E's lead does not bar C: P
+    # lies within tie_tol of E, so it keeps the lead over E, and C beats P
+    rng = np.random.default_rng(31)
+    G = random_connected(rng, 2, 6, 4)
+    tie_tol = 1e-9
+    cands = [S for S, _ in _screened(G, 1.0)]
+    values = {_mask(S): (0.3, 0.3, False) for S in cands}
+    P, E, C = cands[:3]
+    values[_mask(E)] = (0.5, 0.5 + 1e-4, True)
+    values[_mask(P)] = (0.5 - 0.5 * tie_tol, 0.5 + 0.5 * tie_tol, True)
+    values[_mask(C)] = (0.5 + 0.7 * tie_tol, 0.5 + 0.4 * tie_tol, True)
+    for S in cands[3:6]:  # they fill the first wave with E
+        values[_mask(S)] = (0.3, 0.5 + 1e-3, False)
+    waves = []
+    _synthetic_search(monkeypatch, values, waves)
+    out = certificate_search_sub_r(G, 1.0)
+    assert E in waves[0] and P in waves[1] and C in waves[1]
+    assert (out.S, out.lam) == _lexicographic_replay(values) == (C, values[_mask(C)][0])
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
