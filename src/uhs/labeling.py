@@ -103,15 +103,19 @@ class Labeling:
         missing = sorted({"B", "w", "p", "alpha"} - data.keys())
         if missing:
             raise PreconditionError(f"certificate lacks {', '.join(missing)}")
+        p, alpha = data["p"], data["alpha"]
+        if type(p) not in (int, float) or type(alpha) not in (int, float):  # bool, str, null, list
+            raise PreconditionError("certificate p and alpha must be numbers")
         try:
-            return cls(
-                B=np.asarray(data["B"], dtype=float),
-                w=np.asarray(data["w"], dtype=float),
-                p=float(data["p"]),
-                alpha=float(data["alpha"]),
-            )
-        except TypeError as exc:  # e.g. "p": null
-            raise PreconditionError(f"certificate entry is not a number: {exc}") from exc
+            p, alpha = float(p), float(alpha)
+            # the inferred dtype tells numbers from strings, bools and nulls
+            # without a Python loop over the entries
+            B, w = np.asarray(data["B"]), np.asarray(data["w"])
+        except (OverflowError, ValueError) as exc:  # an integer past the float range, a ragged B
+            raise PreconditionError(f"certificate entry is not a float or an array: {exc}") from exc
+        if B.dtype.kind not in "iuf" or w.dtype.kind not in "iuf":
+            raise PreconditionError("certificate B and w entries must be numbers")
+        return cls(B=B, w=w, p=p, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -148,19 +148,21 @@ def _empty_result(G: UniformHypergraph, p: float) -> SpectralResult:
 def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> SpectralResult:
     """Normalized fixed point x <- (s(x) / lam)^{1/(p-1)} on the unit l^p sphere.
 
-    On bipartite-like inputs (odd paths at p = r) the undamped map keeps a
-    -lam mode and falls into a 2-cycle.  The iteration shows it: successive
-    steps point opposite ways for a few steps running while the residual
-    does not fall over two steps.  Then the map is damped to theta = 1/2,
-    which sends that mode to 0.
+    On bipartite-like inputs (odd paths, long odd cycles, at p = r) the map
+    has a mode mu near -1: it falls into a 2-cycle, or oscillates and decays
+    slowly.  The iteration shows it: successive steps point opposite ways
+    three steps running.  Then one step is averaged, theta = 1/2 in
+    x^(p-1) <- (1 - theta) x^(p-1) + theta s / lam, which sends that mode to
+    (1 + mu) / 2, near 0, and costs the other modes about one step; the next
+    steps are undamped again.  A rule that damped only once the residual
+    stopped falling missed the decaying case: the residual kept falling,
+    and a 25-cycle ran to the iteration cap.
     """
     n, r = G.n, G.r
     edges = G.edges_array
     x = np.full(n, n ** (-1.0 / p))
-    theta = 1.0
     step = np.zeros(n)
     flips = 0
-    res2 = res1 = np.inf  # residuals two steps and one step back
     for it in range(1, opts.max_iter + 1):
         s, prods = support_sums(x, edges, n)
         xq = x ** (p - 1.0)
@@ -168,13 +170,11 @@ def _solve_fixed_point(G: UniformHypergraph, p: float, opts: SolverOptions) -> S
         res = float(np.abs(s - lam * xq).max())
         if res <= opts.tol or it == opts.max_iter:
             break  # s, prods and xq stay those of the returned x
+        theta, flips = (0.5, 0) if flips >= 3 else (1.0, flips)
         y = ((1.0 - theta) * xq + theta * s / lam) ** (1.0 / (p - 1.0))
         y /= _norm_p(y, p)
         prev, step = step, y - x
         flips = flips + 1 if float(step @ prev) < 0 else 0
-        if theta > 0.5 and flips >= 3 and res >= res2:
-            theta = 0.5
-        res2, res1 = res1, res
         x = y
     # one compensated sum, on the final iterate
     lam = r * float(polynomial_sum(prods))

@@ -319,6 +319,16 @@ def test_non_finite_labeling_rejected(field, value):
         '{"B": [[0.5, 0.5]], "w": [1.0], "p": null, "alpha": 0.25}',
         '{"B": [[0.5, 0.5]], "w": [1.0], "p": 3.0, "alpha": [0.25]}',
         '{"B": [[NaN, 0.5]], "w": [1.0], "p": 3.0, "alpha": 0.25}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": true, "alpha": 0.25}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": "3", "alpha": 0.25}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": 3.0, "alpha": false}',
+        '{"B": [[0.5, 0.5]], "w": [1.0], "p": 3.0, "alpha": "1"}',
+        '{"B": [[0.5, "0.5"]], "w": [1.0], "p": 3.0, "alpha": 0.25}',
+        '{"B": [[0.5, 0.5]], "w": ["1.0"], "p": 3.0, "alpha": 0.25}',
+        '{"B": [[true, true]], "w": [1.0], "p": 3.0, "alpha": 0.25}',
+        '{"B": [[0.5, null]], "w": [1.0], "p": 3.0, "alpha": 0.25}',
+        '{"B": [[0.5, 0.5], [0.5]], "w": [0.5, 0.5], "p": 3.0, "alpha": 0.25}',
+        pytest.param('{"B": [[0.5, 0.5]], "w": [1.0], "p": 3.0, "alpha": 1' + "0" * 400 + "}", id="alpha-1e400"),
     ],
 )
 def test_from_json_rejects_malformed(text):

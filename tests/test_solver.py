@@ -736,12 +736,22 @@ def _loose_path(n: int, r: int) -> UniformHypergraph:
     return UniformHypergraph.from_edges(r, n + (r - 2) * (n - 1), edges)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_odd_path_at_p_equals_r_converges(n):
-    # the undamped map 2-cycles here from the uniform start
-    res = solve_p_spectral(_path(n), 2.0)
-    assert res.converged and res.iterations <= 100
-    assert abs(res.lam - path_lambda(n)) <= 1e-9
+@pytest.mark.parametrize(
+    "G, exact, cap",
+    # the undamped map 2-cycles on P3 and P5 from the uniform start
+    [pytest.param(_path(n), path_lambda(n), 100, id=str(n)) for n in (3, 5)]
+    + [
+        # its -lam mode decays slowly here, so the residual keeps falling
+        pytest.param(_path(40), path_lambda(40), 1000, id="P40"),
+        pytest.param(random_connected(np.random.default_rng(7), 2, 30, 1), None, 1000, id="odd-cycle-n30"),
+    ],
+)
+def test_odd_path_at_p_equals_r_converges(G, exact, cap):
+    res = solve_p_spectral(G, 2.0)
+    assert res.converged and res.iterations <= cap
+    assert res.lam_hi - res.lam_lo <= 1e-7 * res.lam
+    if exact is not None:
+        assert abs(res.lam - exact) <= 1e-9
 
 
 @pytest.mark.parametrize(
