@@ -74,8 +74,8 @@ def weight_bounds(alpha: float, delta: int, Delta: int, r: int, p: float) -> tup
 class SweepCurve:
     p_grid: tuple[float, ...]
     lam: tuple[float, ...]
-    f: tuple[float, ...]
-    g: tuple[float | None, ...]  # None for p < r, where g is undefined
+    f: tuple[float | None, ...]  # None for p < r, where f and g are undefined
+    g: tuple[float | None, ...]
     h: tuple[float, ...]
     ratio: tuple[float, ...]
     r: int
@@ -87,10 +87,8 @@ class SweepCurve:
         buf = io.StringIO()
         buf.write("p,lambda,f,g,h,ratio\n")
         for i, p in enumerate(self.p_grid):
-            gval = "" if self.g[i] is None else repr(self.g[i])
-            buf.write(
-                f"{p!r},{self.lam[i]!r},{self.f[i]!r},{gval},{self.h[i]!r},{self.ratio[i]!r}\n"
-            )
+            fval, gval = ("" if v[i] is None else repr(v[i]) for v in (self.f, self.g))
+            buf.write(f"{p!r},{self.lam[i]!r},{fval},{gval},{self.h[i]!r},{self.ratio[i]!r}\n")
         return buf.getvalue()
 
 
@@ -150,7 +148,7 @@ def sweep(
         h.append(p * math.log(lam))
         ratio.append((lam / (G.r * G.m)) ** p)
         if sub_mode:
-            f.append(float("nan"))
+            f.append(None)
             g.append(None)
             continue
         q = p / (p - G.r)

@@ -145,8 +145,8 @@ def _cmd_construct(args) -> int:
 
 
 def _json_values(values) -> list:
-    """The values with None for those JSON cannot hold: f is nan (undefined)
-    for p < r, and f and g saturate to inf as p approaches r from above."""
+    """The values with None for those JSON cannot hold: f and g saturate to
+    inf as p approaches r from above (for p < r they are None already)."""
     return [v if v is not None and np.isfinite(v) else None for v in values]
 
 

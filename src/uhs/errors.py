@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the domain check for p."""
+"""Exception types shared across the package, and the domain checks for p and tol."""
 
 import math
 
@@ -23,3 +23,10 @@ def check_p(p: float, regime: str, what: str, r: int = 1, hint: str = "") -> Non
     if not (inside and math.isfinite(p)):
         need = regime.replace("r", f"r = {r}")
         raise PreconditionError(f"{what} requires finite p with {need} (got p={p}){hint}")
+
+
+def check_tol(tol: float) -> None:
+    """Raise PreconditionError unless tol is positive and finite; every
+    comparison with nan is false."""
+    if not (0 < tol < math.inf):
+        raise PreconditionError(f"tol must be positive and finite (got {tol})")

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import edge_products
 from .core import UniformHypergraph, degrees
-from .errors import PreconditionError, check_p
+from .errors import PreconditionError, check_p, check_tol
 
 DEFAULT_TOL = 1e-8
 JSON_BLOCK_ROWS = 4096  # rows of B (entries of w) encoded per piece of the certificate text
@@ -202,11 +202,6 @@ def _summary(res: dict) -> dict:
     }
 
 
-def _check_tol(tol: float) -> None:
-    if not (0 < tol < math.inf):  # also rejects nan
-        raise PreconditionError(f"tol must be positive and finite (got {tol})")
-
-
 def classify_labeling(
     G: UniformHypergraph, L: Labeling, tol: float = DEFAULT_TOL
 ) -> LabelingVerdict:
@@ -217,7 +212,7 @@ def classify_labeling(
     check_p(
         L.p, "p >= r", "classify_labeling", G.r, "; use classify_labeling_sub_r for 1 <= p < r"
     )
-    _check_tol(tol)
+    check_tol(tol)
     res = condition_residuals(G, L.B, L.w, L.p, L.alpha)
     ws, rows, edges = res["weight_sum"], res["rows"], res["edges"]
     consistent = bool((res["consistency_spread"] <= tol).all())
@@ -256,7 +251,7 @@ def classify_labeling_sub_r(
     at least alpha on every edge.
     """
     check_p(p, "1 <= p < r", "classify_labeling_sub_r", G.r)
-    _check_tol(tol)
+    check_tol(tol)
     B = np.asarray(B, dtype=float)
     if B.shape != (G.m, G.r):
         raise PreconditionError(f"B support mismatch: expected {G.m}x{G.r}")

@@ -19,7 +19,7 @@ import numpy as np
 from ._kernels import _leave_one_out, polynomial_sum, support_sums
 from ._kernels import support_sums as batch_support_sums  # own name: perfbench times batch calls apart
 from .core import UniformHypergraph, degrees, induced_subhypergraph
-from .errors import ConvergenceError, PreconditionError, check_p
+from .errors import ConvergenceError, PreconditionError, check_p, check_tol
 from .labeling import Labeling, PVector, labeling_from_eigenvector, weight_only_residual
 
 
@@ -28,6 +28,10 @@ SUBGRAPH_LIMIT = 20
 
 # x counts as strictly positive when every entry exceeds this share of its largest
 POSITIVE_SHARE = 1e-7
+
+# a support replaces the running best of the p < r certificate search only
+# when its lambda exceeds the best's by more than TIE_TOL
+TIE_TOL = 1e-9
 
 # the Newton polish rejects a critical point more than POLISH_DRIFT * max(1, lambda0)
 # from the value lambda0 it starts at
@@ -50,8 +54,7 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 < self.tol < math.inf):  # also rejects nan
-            raise PreconditionError("tol must be positive and finite")
+        check_tol(self.tol)
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be at least 1")
         if self.restarts < 0:
@@ -97,8 +100,8 @@ class SpectralResult:
 class CertificateSearchResult:
     """The certificate found, with the search counts: `tried` supports were
     optimized and `pruned` were skipped by their bound on lambda, or left
-    when the search stopped.  The counts follow the visiting order, largest
-    bound first; S and lam are those of a visit in lexicographic order.
+    when the search stopped.  The search visits the supports by bound,
+    largest first, and a tie in lam goes to the support visited first.
 
     lam is a lower bound on lambda^(p)(G); lam_hi, set by the exhaustive
     search only, is an upper bound.
@@ -558,55 +561,43 @@ def certificate_search_sub_r(
 
     On at most SUBGRAPH_LIMIT vertices the search is exhaustive: candidate
     supports are unions of edge subsets (any admissible support must leave
-    no isolated vertex in the induced sub-hypergraph), visited in
-    lexicographic order.  Past the limit the first candidate is the
-    support of `solve_p_spectral` on G, and when a candidate's winner is
-    not strictly positive on it, the winner's positive part, a smaller
-    support, is the next candidate.  Edges and candidates are vertex
-    bitmasks: the edges of G[S] are those with no vertex outside S, and S
-    is skipped when they do not cover it.
-
-    Each candidate is optimized by `_pga_best`, whose starts include an
-    edge indicator, a boundary point.  Where that indicator ties a strictly
-    positive critical point, `_pga_best` returns the positive one; only
-    strictly positive critical points are kept.  The result is the replay
-    of the kept supports in lexicographic order, where a support replaces
-    the running best only when it beats it by more than tie_tol: ties in
-    lambda go to the lexicographically smallest vertex set.
+    no isolated vertex in the induced sub-hypergraph).  Past the limit the
+    first candidate is the support of `solve_p_spectral` on G, and when a
+    candidate's winner is not strictly positive on it, the winner's
+    positive part, a smaller support, is the next candidate.  Edges and
+    candidates are vertex bitmasks: the edges of G[S] are those with no
+    vertex outside S, and S is skipped when they do not cover it.
 
     The search visits the candidates by their 2-shadow clique bound
     (`_shadow_bound` on the edges of G[S]), largest first; equal bounds
-    keep lexicographic order.  A PGA or polish value exceeds lambda(G[S])
-    only by the polish's norm error, at most lambda * (r/p) * 0.01 * tol,
-    which is below tie_tol/2 while lambda * r/p < 500 at the default tol;
-    so a candidate's value is below its bound + tie_tol/2, its top.  Two
-    facts about the replay decide what can still change it.  After a kept
-    support E the running best is at least lambda_E - tie_tol, so a later
-    support can replace it only with a larger lambda.  And the kept values
-    reached down from the largest in steps of at most tie_tol form a
-    cluster whose first member in the replay always takes the lead, which
-    no value more than tie_tol below the cluster's floor can take back:
-    the replay is that of the cluster alone.  So a candidate is skipped
-    unoptimized (`pruned`) when its top is at most its bar: the largest
-    lambda kept ahead of it in lexicographic order, or, when no candidate
-    still open ahead of it can reach the cluster of the supports kept
-    ahead of it, their replay's running best plus tie_tol, the test of a
-    visit in lexicographic order.  The search stops once a top is at most
-    the floor of the kept cluster less tie_tol, as no later candidate can
-    join it.  A tried support is polished only when its ascent value,
-    moved by twice the most the polish accepts, exceeds its bar.  So S and
-    lambda are those of the lexicographic search; only `tried` and
-    `pruned` depend on the order, and the bound order tries fewer.
+    keep lexicographic order.  Each is optimized by `_pga_best`, whose
+    starts include an edge indicator, a boundary point.  Where that
+    indicator ties a strictly positive critical point, `_pga_best` returns
+    the positive one; only strictly positive critical points are kept.  A
+    kept support replaces the running best only when its lambda exceeds
+    the best's by more than TIE_TOL, so a tie goes to the support visited
+    first.
 
-    The candidates are ascended in waves: the next WAVE that can still
-    change the result, as masked groups of one batch on G, each stopping
-    once it reaches its bound (a candidate of more than SUBGRAPH_LIMIT
-    vertices gets none).  The wave is then taken one candidate at a time
-    with the rules above.  G[S] and its labeling are built for the final S
-    alone.  lam_hi, set when the search is exhaustive, is the largest
-    candidate bound, that of the union of all edges: a maximizer's support
-    leaves no vertex of its induced sub-hypergraph isolated, so it is a
-    candidate, and the bound grows with the candidate.
+    A PGA or polish value exceeds lambda(G[S]) only by the polish's norm
+    error, at most lambda * (r/p) * 0.01 * tol, which is below TIE_TOL/2
+    while lambda * r/p < 500 at the default tol; so a candidate's value is
+    below its bound + TIE_TOL/2, and it cannot replace the best when that
+    is at most the best's lambda + TIE_TOL.  The search stops at the first
+    such candidate, as the bounds that follow are no larger, and counts it
+    and the rest as `pruned`; a candidate of a wave formed before the best
+    rose is skipped by the same test.  A tried support is polished only
+    when its ascent value, moved by twice the most the polish accepts,
+    passes it too.
+
+    The candidates are ascended in waves: the next WAVE that pass the test,
+    as masked groups of one batch on G, each stopping once it reaches its
+    bound (a candidate of more than SUBGRAPH_LIMIT vertices gets none).
+    The wave is then taken one candidate at a time with the rules above.
+    G[S] and its labeling are built for the final S alone.  lam_hi, set
+    when the search is exhaustive, is the largest candidate bound, that of
+    the union of all edges: a maximizer's support leaves no vertex of its
+    induced sub-hypergraph isolated, so it is a candidate, and the bound
+    grows with the candidate.
     """
     check_p(p, "1 <= p < r", "certificate search", G.r)
     if G.m == 0:
@@ -638,74 +629,28 @@ def certificate_search_sub_r(
     # largest bound first; the stable sort keeps lexicographic order among
     # equal bounds, and past the limit the candidates keep their discovery order
     queue = sorted(range(len(screened)), key=lambda k: -screened[k][1])
-    # a candidate's rank is its index in screened; below[k] is the largest
-    # bound less than candidate k's (-inf for none)
-    below: dict[int, float] = {}
-    for a, b in reversed(list(zip(queue, queue[1:]))):
-        below[a] = screened[b][1] if screened[b][1] < screened[a][1] else below.get(b, -math.inf)
-    tie_tol = 1e-9
-    kept: list[tuple[int, tuple[int, ...], SpectralResult]] = []  # (rank, S, result), by rank
+    winner, lead = None, -math.inf  # the running best: (S, result) and its lambda
     tried = pruned = 0
-
-    def replay(entries):
-        """(winner, lambda) of the entries taken in rank order, where each
-        that beats the running best by more than tie_tol replaces it."""
-        best, lam = None, -math.inf
-        for entry in entries:
-            if entry[2].lam > lam + tie_tol:
-                best, lam = entry, entry[2].lam
-        return best, lam
-
-    def floor(entries) -> float:
-        """The least lambda reached down from the largest of the entries in
-        steps of at most tie_tol.  Nothing more than tie_tol below it
-        changes their replay."""
-        low = -math.inf
-        for lam in sorted((res.lam for _, _, res in entries), reverse=True):
-            if lam < low - tie_tol:
-                break
-            low = lam
-        return low
-
-    def bar(rank: int, pending=()) -> float:
-        """A candidate of this rank changes the result only with a larger
-        lambda; `pending` holds the ranks of the wave not yet tried, and
-        every other open candidate has a bound of at most below[rank] or an
-        equal bound and a larger rank."""
-        before = [entry for entry in kept if entry[0] < rank]
-        if below.get(rank, -math.inf) + tie_tol / 2 <= floor(before) - tie_tol and all(
-            k > rank for k in pending
-        ):
-            return replay(before)[1] + tie_tol  # the replay up to this rank is final
-        # after each kept entry the running best is at least its lambda - tie_tol
-        return max((res.lam for _, _, res in before), default=-math.inf)
-
     i = 0
     while i < len(queue):
         wave = []
         while i < len(queue) and len(wave) < WAVE:
-            rank = queue[i]
-            top = screened[rank][1] + tie_tol / 2  # lambda(G[S]) is below this
-            if top <= floor(kept) - tie_tol:
-                break  # the bounds descend: no candidate left can matter
+            if screened[queue[i]][1] + TIE_TOL / 2 <= lead + TIE_TOL:
+                break  # the bounds descend: no candidate left can beat the best
+            wave.append(queue[i])
             i += 1
-            if top <= bar(rank, wave):
-                pruned += 1
-            else:
-                wave.append(rank)
         if not wave:
             pruned += len(queue) - i
             break
-        for rank, ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, [screened[k] for k in wave])):
-            S, bound = screened[rank]
-            need = bar(rank)
-            if bound + tie_tol / 2 <= max(need, floor(kept) - tie_tol):
+        for k, ascent in zip(wave, _pga_best(G, p, sub_opts, 5000, [screened[k] for k in wave])):
+            S, bound = screened[k]
+            if bound + TIE_TOL / 2 <= lead + TIE_TOL:
                 pruned += 1
                 continue
             tried += 1
             lam0 = ascent[1]
-            if lam0 + 2 * POLISH_DRIFT * max(1.0, lam0) <= need:
-                continue  # not even the polish could lift it past the bar
+            if lam0 + 2 * POLISH_DRIFT * max(1.0, lam0) <= lead + TIE_TOL:
+                continue  # not even the polish could lift it past the best
             res = _pga_result(G, p, opts.tol, *ascent)
             x = res.x.values[list(S)]
             positive = x > POSITIVE_SHARE * x.max()
@@ -715,14 +660,13 @@ def certificate_search_sub_r(
                 queue.extend(range(len(queue), len(screened)))
             if res.residual > max(opts.tol, 1e-9) * 100 or not positive.all():
                 continue
-            kept.append((rank, S, res))
-            kept.sort(key=lambda entry: entry[0])
-    winner = replay(kept)[0]
+            if res.lam > lead + TIE_TOL:
+                winner, lead = (S, res), res.lam
     if winner is None:
         raise ConvergenceError(
             "no induced sub-hypergraph with a strictly positive critical point was found"
         )
-    _, S, res = winner
+    S, res = winner
     sub, vmap = induced_subhypergraph(G, S)
     labeling = labeling_from_eigenvector(sub, PVector(values=res.x.values[vmap], p=p), res.lam)
     # where the bound is tight, rounding can put lam an ulp above it

@@ -126,7 +126,8 @@ def test_sweep_near_r_limit():
 def test_sweep_sub_r_mode():
     curve = sweep(two_triangles_path(), [1.0, 1.5])
     assert abs(curve.lam[0] - 2.0 / 3.0) <= 1e-9
-    assert curve.g[0] is None and np.isnan(curve.f[0])
+    assert curve.g[0] is None and curve.f[0] is None
+    assert all(line.split(",")[2:4] == ["", ""] for line in curve.to_csv().splitlines()[1:])
 
 
 def test_sweep_grid_gates():

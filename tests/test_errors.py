@@ -12,7 +12,7 @@ from uhs.analysis import (
     weight_bounds,
 )
 from uhs.constructions import join_lambda, power_lambda, product_lambda, star_g2, star_g2_orbits
-from uhs.errors import PreconditionError
+from uhs.errors import PreconditionError, check_tol
 from uhs.labeling import Labeling, classify_labeling, classify_labeling_sub_r, lambda_from_alpha
 from uhs.solver import (
     SolverOptions,
@@ -61,3 +61,9 @@ CALLS = {
 def test_every_p_check_rejects_non_finite_p(name, p):
     with pytest.raises(PreconditionError, match="finite p"):
         CALLS[name](p)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_check_tol_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(PreconditionError, match="tol must be positive and finite"):
+        check_tol(tol)

@@ -24,6 +24,7 @@ from uhs.labeling import (
     eigenvector_from_labeling,
 )
 from uhs.solver import (
+    TIE_TOL,
     SolverOptions,
     SpectralResult,
     _edges_inside,
@@ -209,7 +210,7 @@ def test_support_of_more_than_forty_vertices_converges():
 def test_certificate_search_two_triangles():
     out = certificate_search_sub_r(two_triangles_path(), 1.0)
     assert out.exhaustive
-    assert out.S == (0, 1, 2)  # lexicographic tie-break between the triangles
+    assert out.S == (0, 1, 2)  # equal bounds: the first triangle is visited first
     assert abs(out.lam - 2.0 / 3.0) <= 1e-10
     assert abs(out.labeling.alpha - 0.75) <= 1e-10
 
@@ -237,25 +238,26 @@ def test_certificate_search_rejects_large_p():
 
 def _plain_certificate_search(G: UniformHypergraph, p: float, opts: SolverOptions):
     """The exhaustive search with no pruning and no waves: every support is
-    optimized on its own, as a group of one, and ties within 1e-9 go to the
-    lexicographically smaller support."""
+    optimized on its own, as a group of one, in the order of their bounds,
+    largest first, and lexicographic among equal bounds; a tie within
+    TIE_TOL goes to the support visited first."""
     unions = {frozenset()}
     for e in G.edges_array.tolist():
         unions |= {u | set(e) for u in unions}
     sub_opts = replace(opts, restarts=min(opts.restarts, 8))
-    best = None
+    candidates = []
     for S in sorted(tuple(sorted(u)) for u in unions if u):
         sub, _ = induced_subhypergraph(G, S)
-        if sub.m == 0 or degrees(sub).delta == 0:
-            continue
-        ascent = _pga_best(G, p, sub_opts, 5000, [(S, _lambda_bound(sub, p))])[0]
+        if sub.m > 0 and degrees(sub).delta > 0:
+            candidates.append((S, _lambda_bound(sub, p)))
+    best = None
+    for S, bound in sorted(candidates, key=lambda c: -c[1]):
+        ascent = _pga_best(G, p, sub_opts, 5000, [(S, bound)])[0]
         res = _pga_result(G, p, opts.tol, *ascent)
         x = res.x.values[list(S)]
         if res.residual > max(opts.tol, 1e-9) * 100 or x.min() <= 1e-7 * x.max():
             continue
-        if best is None or res.lam > best[1] + 1e-9:
-            best = (S, res.lam)
-        elif abs(res.lam - best[1]) <= 1e-9 and S < best[0]:
+        if best is None or res.lam > best[1] + TIE_TOL:
             best = (S, res.lam)
     return best
 
@@ -321,20 +323,17 @@ def _edge_and_shared_pair() -> UniformHypergraph:
     return UniformHypergraph.from_edges(4, 10, [(0, 1, 2, 3), (4, 5, 6, 7), (4, 5, 8, 9)])
 
 
-def test_tie_goes_to_the_first_support_when_its_bound_is_smaller(monkeypatch):
-    # (4, ..., 9) is ascended before (0, 1, 2, 3) and ties it; the tie still
-    # goes to the lexicographically first
+def test_tie_goes_to_the_support_visited_first():
+    # (4, ..., 9) has the larger bound, so it is visited before (0, 1, 2, 3),
+    # the lexicographically first, and keeps the tie
     G = _edge_and_shared_pair()
-    waves = []
-    _recording(monkeypatch, waves)
     out = certificate_search_sub_r(G, 2.0)
-    bounds = dict(group for wave in waves for group in wave)
+    bounds = dict(_screened(G, 2.0))
     rival = (4, 5, 6, 7, 8, 9)
     assert bounds[(0, 1, 2, 3)] == 0.25 < bounds[rival]
-    assert list(bounds).index(rival) < list(bounds).index((0, 1, 2, 3))
-    sub, _ = induced_subhypergraph(G, rival)
+    sub, _ = induced_subhypergraph(G, (0, 1, 2, 3))
     assert abs(solve_p_spectral(sub, 2.0).lam - 0.25) <= 1e-12
-    assert out.S == (0, 1, 2, 3) and out.lam == 0.25
+    assert out.S == rival and abs(out.lam - 0.25) <= 1e-12
 
 
 def _screened(G: UniformHypergraph, p: float):
@@ -363,23 +362,22 @@ def test_search_ascends_by_bound_and_stops_below_the_best(monkeypatch):
         assert bounds == sorted(bounds, reverse=True)  # across and within waves
         assert len(bounds) >= out.tried
         assert out.tried + out.pruned == len(screened)
-        # once the best is kept, no wave starts more than 2 tie_tol under it:
-        # a wave formed before may still hold such supports
-        assert all(wave[0][1] > out.lam - 2e-9 for wave in waves)
+        # no wave starts below the winner's bound, which lambda exceeds by
+        # less than TIE_TOL/2: a wave formed before the winner was kept may
+        # still hold such supports
+        assert all(wave[0][1] > out.lam - TIE_TOL / 2 for wave in waves)
         cut_short += bounds[-1] > min(bound for _, bound in screened)
     assert cut_short >= 5
 
 
-def _synthetic_search(monkeypatch, values, waves=None):
+def _synthetic_search(monkeypatch, values):
     """Patch the search to read each candidate's (lambda, bound, kept) from
     `values` by vertex mask: no ascent, and a polish that lifts lambda by
     5e-5, within what it may.  A support that is not kept gets a zero
-    entry.  Each wave's supports are appended to `waves`, if given."""
+    entry."""
     import uhs.solver
 
     def ascent(G, p, opts, max_iter, groups):
-        if waves is not None:
-            waves.append([S for S, _ in groups])
         out = []
         for S, _ in groups:
             lam, _, kept = values[_mask(S)]
@@ -399,58 +397,48 @@ def _synthetic_search(monkeypatch, values, waves=None):
     monkeypatch.setattr(uhs.solver, "labeling_from_eigenvector", lambda sub, x, lam: None)
 
 
-def _lexicographic_replay(values, tie_tol=1e-9):
-    best, lam_best = None, -math.inf
-    for S in sorted(_vertices(mask) for mask in values):
+def _visit_order_replay(values):
+    """(S, lambda) of a visit of every candidate in `values` by bound,
+    largest first and lexicographic among equal bounds, where a kept
+    support replaces the running best when it beats it by more than TIE_TOL."""
+    best, lead = None, -math.inf
+    for S in sorted((_vertices(mask) for mask in values), key=lambda S: (-values[_mask(S)][1], S)):
         lam, _, kept = values[_mask(S)]
-        if kept and lam > lam_best + tie_tol:
-            best, lam_best = S, lam
-    return best, lam_best
+        if kept and lam > lead + TIE_TOL:
+            best, lead = S, lam
+    return best, lead
 
 
-def test_search_replays_near_tie_chains_in_lexicographic_order(monkeypatch):
-    # synthetic lambdas and bounds in chains of near-ties, 0.4 tie_tol
-    # apart, where the lexicographic replay's winner can hang on a low
-    # member of a chain: the bound order must still give that winner
+def test_search_replays_near_tie_chains_in_visit_order(monkeypatch):
+    # synthetic lambdas and bounds in chains of near-ties, 0.4 TIE_TOL
+    # apart, with bounds from 0.4 TIE_TOL below lambda up: the skips and
+    # the stop must give the winner of the visit of every candidate
     rng = np.random.default_rng(31)
     G = random_connected(rng, 2, 6, 4)
     values = {}
     _synthetic_search(monkeypatch, values)
-    tie_tol = 1e-9
     checked = 0
     for _ in range(300):
         for S, _ in _screened(G, 1.0):
-            lam = 0.5 + 0.4 * tie_tol * int(rng.integers(0, 12)) if rng.random() < 0.7 else 0.3
-            slack = tie_tol * float(rng.choice([-0.4, -0.2, 0.0, 0.2, 0.5, 1.0, 1e6]))
+            lam = 0.5 + 0.4 * TIE_TOL * int(rng.integers(0, 12)) if rng.random() < 0.7 else 0.3
+            slack = TIE_TOL * float(rng.choice([-0.4, -0.2, 0.0, 0.2, 0.5, 1.0, 1e6]))
             values[_mask(S)] = (lam, lam + slack, rng.random() < 0.8)
-        best = _lexicographic_replay(values)
+        best = _visit_order_replay(values)
         if best[0] is not None:
             out = certificate_search_sub_r(G, 1.0)
             assert (out.S, out.lam) == best
+            assert out.tried + out.pruned == len(values)
             checked += 1
     assert checked >= 250
 
 
-def test_search_waits_for_the_wave_ahead_of_a_candidate(monkeypatch):
-    # E is kept in the first wave; P and C share the second, P ahead of C in
-    # lexicographic order.  Before P is tried, E's lead does not bar C: P
-    # lies within tie_tol of E, so it keeps the lead over E, and C beats P
-    rng = np.random.default_rng(31)
-    G = random_connected(rng, 2, 6, 4)
-    tie_tol = 1e-9
-    cands = [S for S, _ in _screened(G, 1.0)]
-    values = {_mask(S): (0.3, 0.3, False) for S in cands}
-    P, E, C = cands[:3]
-    values[_mask(E)] = (0.5, 0.5 + 1e-4, True)
-    values[_mask(P)] = (0.5 - 0.5 * tie_tol, 0.5 + 0.5 * tie_tol, True)
-    values[_mask(C)] = (0.5 + 0.7 * tie_tol, 0.5 + 0.4 * tie_tol, True)
-    for S in cands[3:6]:  # they fill the first wave with E
-        values[_mask(S)] = (0.3, 0.5 + 1e-3, False)
-    waves = []
-    _synthetic_search(monkeypatch, values, waves)
-    out = certificate_search_sub_r(G, 1.0)
-    assert E in waves[0] and P in waves[1] and C in waves[1]
-    assert (out.S, out.lam) == _lexicographic_replay(values) == (C, values[_mask(C)][0])
+def test_tie_in_an_enumerated_3_graph_goes_to_the_support_visited_first():
+    # at p = 1 the whole vertex set, with the larger bound, ties (0, 1, 2, 3)
+    # at 1/9 and is visited first
+    G = UniformHypergraph.from_edges(3, 5, [(0, 1, 3), (0, 2, 3), (0, 2, 4), (1, 3, 4)])
+    out = certificate_search_sub_r(G, 1.0, SolverOptions(restarts=6))
+    assert out.S == (0, 1, 2, 3, 4)
+    assert abs(out.lam - 1.0 / 9.0) <= 1e-9
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
