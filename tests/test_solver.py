@@ -370,14 +370,16 @@ def test_search_ascends_by_bound_and_stops_below_the_best(monkeypatch):
     assert cut_short >= 5
 
 
-def _synthetic_search(monkeypatch, values):
+def _synthetic_search(monkeypatch, values, waves=None):
     """Patch the search to read each candidate's (lambda, bound, kept) from
     `values` by vertex mask: no ascent, and a polish that lifts lambda by
     5e-5, within what it may.  A support that is not kept gets a zero
-    entry."""
+    entry.  Each wave's supports are appended to `waves`, if given."""
     import uhs.solver
 
     def ascent(G, p, opts, max_iter, groups):
+        if waves is not None:
+            waves.append([S for S, _ in groups])
         out = []
         for S, _ in groups:
             lam, _, kept = values[_mask(S)]
@@ -430,6 +432,69 @@ def test_search_replays_near_tie_chains_in_visit_order(monkeypatch):
             assert out.tried + out.pruned == len(values)
             checked += 1
     assert checked >= 250
+
+
+def _lexicographic_replay(values):
+    """(S, lambda) of a visit of every candidate in `values` in lexicographic
+    order, where a kept support replaces the running best when it beats it
+    by more than TIE_TOL."""
+    best, lead = None, -math.inf
+    for S in sorted(_vertices(mask) for mask in values):
+        lam, _, kept = values[_mask(S)]
+        if kept and lam > lead + TIE_TOL:
+            best, lead = S, lam
+    return best, lead
+
+
+def test_search_replays_near_tie_chains_in_lexicographic_order(monkeypatch):
+    # synthetic lambdas in chains of near-ties, 0.4 TIE_TOL apart, under one
+    # bound shared by every candidate: equal bounds are visited in
+    # lexicographic order, so the search must give the lexicographic winner
+    rng = np.random.default_rng(31)
+    G = random_connected(rng, 2, 6, 4)
+    values = {}
+    _synthetic_search(monkeypatch, values)
+    checked = 0
+    for _ in range(300):
+        lams = {}
+        for S, _ in _screened(G, 1.0):
+            lam = 0.5 + 0.4 * TIE_TOL * int(rng.integers(0, 12)) if rng.random() < 0.7 else 0.3
+            lams[_mask(S)] = (lam, rng.random() < 0.8)
+        bound = max(lam for lam, _ in lams.values())
+        bound += TIE_TOL * float(rng.choice([0.0, 0.2, 0.5, 1.0, 1e6]))
+        values.update({mask: (lam, bound, kept) for mask, (lam, kept) in lams.items()})
+        best = _lexicographic_replay(values)
+        if best[0] is not None:
+            assert _visit_order_replay(values) == best
+            out = certificate_search_sub_r(G, 1.0)
+            assert (out.S, out.lam) == best
+            assert out.tried + out.pruned == len(values)
+            checked += 1
+    assert checked >= 250
+
+
+def test_search_waits_for_the_wave_ahead_of_a_candidate(monkeypatch):
+    # E is kept in the first wave; P and C pass the stop against E's lead
+    # and share the second wave, P ahead of C by bound.  C's skip waits for
+    # its turn: P beats E by more than TIE_TOL, and C's bound then cannot
+    # beat P, so C is pruned, not tried
+    rng = np.random.default_rng(31)
+    G = random_connected(rng, 2, 6, 4)
+    cands = [S for S, _ in _screened(G, 1.0)]
+    values = {_mask(S): (0.3, 0.3, False) for S in cands}
+    P, E, C = cands[:3]
+    values[_mask(E)] = (0.5, 0.5 + 1e-4, True)
+    values[_mask(P)] = (0.5 + 3 * TIE_TOL, 0.5 + 5 * TIE_TOL, True)
+    values[_mask(C)] = (0.5 + 2 * TIE_TOL, 0.5 + 2 * TIE_TOL, True)
+    for S in cands[3:6]:  # they fill the first wave with E
+        values[_mask(S)] = (0.3, 0.5 + 1e-3, False)
+    waves = []
+    _synthetic_search(monkeypatch, values, waves)
+    out = certificate_search_sub_r(G, 1.0)
+    assert E in waves[0] and waves[1][:2] == [P, C]
+    assert (out.S, out.lam) == _visit_order_replay(values) == (P, values[_mask(P)][0])
+    assert out.tried == 5  # the first wave and P
+    assert out.pruned == len(cands) - 5
 
 
 def test_tie_in_an_enumerated_3_graph_goes_to_the_support_visited_first():
